@@ -36,11 +36,26 @@ ENUM_BUDGETS = {"nc": 14, "interval": 16, "kr-interval": 16, "rainbow": 4096}
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    n = int(text)
-    return n, n
+    """N or LO..HI with 1 <= LO <= HI; ValueError otherwise."""
+    lo, dots, hi = text.partition("..")
+    try:
+        bounds = int(lo), int(hi if dots else lo)
+    except ValueError:
+        bounds = 0, 0
+    if not 1 <= bounds[0] <= bounds[1]:
+        raise ValueError(f"range must be N or LO..HI with 1 <= LO <= HI, got {text!r}")
+    return bounds
+
+
+def _budget(text: str) -> int:
+    """argparse type of --budget-override: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _open_out(path: str | None):
@@ -51,8 +66,10 @@ def _open_out(path: str | None):
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
-    budget = args.budget_override if args.budget_override else ENUM_BUDGETS[args.kind]
-    if args.budget_override:
+    budget = args.budget_override
+    if budget is None:
+        budget = ENUM_BUDGETS[args.kind]
+    else:
         print(f"warning: budget override {args.budget_override}", file=sys.stderr)
     if n < 1:
         print(f"error: n must be >= 1", file=sys.stderr)
@@ -82,9 +99,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_polynomial(args: argparse.Namespace) -> int:
-    lo, hi = _parse_range(args.range)
+    try:
+        lo, hi = _parse_range(args.range)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     klass = meanders.MeanderClass.from_tag(args.klass)
-    if args.budget_override:
+    if args.budget_override is not None:
         print(f"warning: budget override {args.budget_override}", file=sys.stderr)
     out, close = _open_out(args.out)
     try:
@@ -133,9 +154,13 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.budget_override:
+    if args.budget_override is not None:
         print(f"warning: budget override {args.budget_override}", file=sys.stderr)
-    results = verify.run_suite(args.suite, budget=args.budget_override)
+    try:
+        results = verify.run_suite(args.suite, budget=args.budget_override)
+    except meanders.ResourceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     failures = 0
     for name, ok, detail in results:
         tag = "PASS" if ok else "FAIL"
@@ -199,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--out", default=None)
-    p.add_argument("--budget-override", type=int, default=None)
+    p.add_argument("--budget-override", type=_budget, default=None)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("polynomial", help="loop-count tables per class")
@@ -208,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("range", help="single n or lo..hi")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
-    p.add_argument("--budget-override", type=int, default=None)
+    p.add_argument("--budget-override", type=_budget, default=None)
     p.set_defaults(fn=cmd_polynomial)
 
     p = sub.add_parser("series", help="dump a generating series as JSON")
@@ -220,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run oracle-equivalence suites")
     p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
-    p.add_argument("--budget-override", type=int, default=None)
+    p.add_argument("--budget-override", type=_budget, default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("simulate", help="random-matrix estimates vs exact counts")

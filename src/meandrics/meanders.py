@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,10 +147,29 @@ def rainbow(n: int) -> NcPartition:
 # ---------------------------------------------------------------------------
 
 def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MEANDER_THREADS", "1")))
-    except ValueError:
+    return _thread_count(os.environ.get("MEANDER_THREADS"))
+
+
+@lru_cache(maxsize=None)
+def _thread_count(raw: str | None) -> int:
+    """MEANDER_THREADS as a worker count in 1..os.cpu_count(); unset means
+    1.  Other values are clamped into range with one stderr warning."""
+    if raw is None:
         return 1
+    cpus = os.cpu_count() or 1
+    try:
+        want = int(raw)
+    except ValueError:
+        want = 0
+    if want < 1:
+        print(f"warning: MEANDER_THREADS={raw!r} is not an integer >= 1; "
+              f"using 1 thread", file=sys.stderr)
+        return 1
+    if want > cpus:
+        print(f"warning: MEANDER_THREADS={want} exceeds the {cpus} CPUs; "
+              f"using {cpus} threads", file=sys.stderr)
+        return cpus
+    return want
 
 
 def _geodesic_rows(parts: Iterable[NcPartition | CombSubset]) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ seeded with fixed constants so repeated runs print identical reports.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -21,15 +21,15 @@ CheckResult = tuple[str, bool, str]
 
 _SEED = 20240809
 
+# (partition, subset) cells per subset-binomial batch
+_BATCH_CELLS = 1 << 18
+
 
 def set_partitions(m: int) -> Iterator[list[list[int]]]:
     """All set partitions of {1..m} via restricted growth strings."""
     a = [0] * m
     while True:
-        blocks: list[list[int]] = [[] for _ in range(max(a) + 1)]
-        for i, v in enumerate(a):
-            blocks[v].append(i + 1)
-        yield blocks
+        yield rgs_blocks(a)
         for i in range(m - 1, 0, -1):
             if a[i] <= max(a[:i]):
                 a[i] += 1
@@ -38,6 +38,79 @@ def set_partitions(m: int) -> Iterator[list[list[int]]]:
                 break
         else:
             return
+
+
+def rgs_blocks(labels: Iterable[int]) -> list[list[int]]:
+    """The 1-based blocks of a restricted growth string."""
+    blocks: list[list[int]] = []
+    for i, v in enumerate(labels):
+        if v == len(blocks):
+            blocks.append([])
+        blocks[v].append(i + 1)
+    return blocks
+
+
+def rgs_batches(m: int, rows: int) -> Iterator[np.ndarray]:
+    """The restricted growth strings of length m as int8 arrays of at most
+    ``rows`` rows, in the lexicographic order of ``set_partitions``.
+
+    Prefixes are extended depth first, one batch at a time, so memory
+    stays bounded by ``rows`` rather than by the Bell number.
+    """
+    def grow(prefix: np.ndarray) -> Iterator[np.ndarray]:
+        if prefix.shape[1] == m:
+            yield prefix
+            return
+        # the next label runs over 0..max+1, children in increasing order
+        fan = prefix.max(axis=1).astype(np.intp) + 2
+        child = np.repeat(prefix, fan, axis=0)
+        first = np.repeat(np.cumsum(fan) - fan, fan)
+        last = (np.arange(len(child)) - first).astype(np.int8)
+        child = np.column_stack([child, last])
+        for lo in range(0, len(child), rows):
+            yield from grow(child[lo:lo + rows])
+
+    yield from grow(np.zeros((1, 1), dtype=np.int8))
+
+
+def binomial_sides(labels: np.ndarray,
+                   vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the subset binomial identity for a batch of set
+    partitions of [m], given as restricted growth strings (rows).
+
+    Returns int64 arrays lhs, rhs of shape (rows, |vals|, |vals|) with
+    lhs[p, a, b] = sum over all 2^m subsets Q of A^|Q| B^#{blocks missed
+    by Q} and rhs[p, a, b] = prod over blocks c of ((A+1)^|c| + B - 1),
+    for A = vals[a], B = vals[b].  The caller keeps both within int64.
+    """
+    rows, m = labels.shape
+    w = m + 1
+    # Subsets with top element i are those below 2^i plus i.  Per (p, Q),
+    # hit is the bitmask of the blocks Q meets and cell = |Q|*w + #blocks
+    # missed; narrow dtypes halve the memory traffic of these passes.
+    hit = np.empty((rows, 1 << m), dtype=np.int16 if m < 16 else np.int64)
+    cell = np.empty((rows, 1 << m), dtype=np.int16)
+    hit[:, 0] = 0
+    cell[:, 0] = labels.max(axis=1) + 1
+    bit = np.left_shift(1, labels, dtype=hit.dtype)
+    for i in range(m):
+        old, new = slice(0, 1 << i), slice(1 << i, 2 << i)
+        fresh = (hit[:, old] & bit[:, i, None]) == 0
+        np.bitwise_or(hit[:, old], bit[:, i, None], out=hit[:, new])
+        np.subtract(cell[:, old] + w, fresh, out=cell[:, new])
+    key = cell + (np.arange(rows) * w * w)[:, None]
+    hist = np.bincount(key.ravel(), minlength=rows * w * w).reshape(rows, w, w)
+    pows = vals[:, None] ** np.arange(w)                       # (|vals|, w)
+    lhs = pows @ (hist @ pows.T)                               # (rows, A, B)
+
+    sizes = np.bincount((np.arange(rows)[:, None] * m + labels).ravel(),
+                        minlength=rows * m).reshape(rows, m)
+    # factor per (block size, A, B); size 0 pads the missing blocks
+    factor = ((vals + 1)[None, :, None] ** np.arange(w)[:, None, None]
+              + vals[None, None, :] - 1)
+    factor[0] = 1
+    rhs = factor[sizes].prod(axis=1)
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +129,10 @@ def check_krint_combs(n_max: int = 8) -> CheckResult:
     return name, True, f"{total} partitions, n<={n_max}"
 
 
+def _bitmask(elements: Iterable[int]) -> int:
+    return sum(1 << x for x in elements)
+
+
 def check_kr_interval_meet(n_max: int = 7) -> CheckResult:
     name = "kr-interval-meet-formula"
     checked = 0
@@ -63,31 +140,21 @@ def check_kr_interval_meet(n_max: int = 7) -> CheckResult:
         combs = list(partitions.enumerate_kr_interval(n))
         comb_parts = [c.to_partition() for c in combs]
         ncs = list(partitions.enumerate_nc(n))
-        # owner[x] per partition makes the refinement test direct
-        owners = []
-        for b in ncs:
-            owner = [0] * n
-            for k, blk in enumerate(b.blocks):
-                for x in blk:
-                    owner[x] = k
-            owners.append(owner)
-
-        def below(comb: partitions.CombSubset, owner: list[int]) -> bool:
-            root = owner[n - 1]
-            return all(owner[x] == root for x in comb.q)
-
+        # a comb lies below a partition iff Q sits inside the block of n
+        c_masks = np.array([_bitmask(c.q) for c in combs], dtype=np.int64)
+        c_sizes = np.array([len(c.q) for c in combs])
+        b_masks = np.array([_bitmask(b.block_containing(n - 1)) for b in ncs],
+                           dtype=np.int64)
+        below_b = (c_masks[:, None] & ~b_masks[None, :]) == 0    # (comb, beta)
         for q, qp in zip(combs, comb_parts):
-            q_owner = [0] * n
-            for k, blk in enumerate(qp.blocks):
-                for x in blk:
-                    q_owner[x] = k
-            for b, owner in zip(ncs, owners):
+            below_q = (c_masks & ~_bitmask(qp.block_containing(n - 1))) == 0
+            # per beta, the first admissible comb of maximal |Q|
+            score = np.where(below_b & below_q[:, None], c_sizes[:, None], -1)
+            for b, best in zip(ncs, score.argmax(axis=0)):
                 got = partitions.kr_interval_meet(q, b)
-                candidates = [c for c, cp in zip(combs, comb_parts)
-                              if below(c, q_owner) and below(c, owner)]
-                best = max(candidates, key=lambda c: len(c.q)).to_partition()
-                if got != best:
-                    return name, False, f"n={n}, Q={q!r}, beta={b!r}: {got!r} != {best!r}"
+                if got != comb_parts[best]:
+                    return name, False, (f"n={n}, Q={q!r}, beta={b!r}: "
+                                         f"{got!r} != {comb_parts[best]!r}")
                 checked += 1
             for rp in comb_parts:
                 if partitions.kr_interval_meet(q, rp) != partitions.nc_meet(qp, rp):
@@ -154,30 +221,22 @@ def check_comb_loop_formula(n_max: int = 8) -> CheckResult:
 def check_subset_binomial(m_max: int = 10,
                           ab_values: tuple[int, ...] = (1, 2, 3)) -> CheckResult:
     name = "subset-binomial-identity"
+    # |lhs| <= (V+1)^m V^m and |rhs| <= (V+1)^m 2^m: int64 cannot wrap
+    v = max(abs(x) for x in ab_values)
+    if (v + 1) ** m_max * max(2, v) ** m_max >= 1 << 63:
+        raise meanders.ResourceLimitError(
+            f"subset-binomial sums at m={m_max}, |A|,|B|<={v} overflow int64")
     checked = 0
     vals = np.array(ab_values, dtype=np.int64)
     for m in range(1, m_max + 1):
-        qs = np.arange(1 << m, dtype=np.int64)
-        sizes = np.zeros(1 << m, dtype=np.int64)
-        for i in range(m):
-            sizes += (qs >> i) & 1
-        a_pows = vals[:, None] ** sizes[None, :]            # (|vals|, 2^m)
-        b_lut = vals[:, None] ** np.arange(m + 1)[None, :]  # (|vals|, m+1)
-        # rhs factor per (A, B, block size): (A+1)^s + B - 1
-        rhs_lut = ((vals + 1)[:, None, None] ** np.arange(m + 1)[None, None, :]
-                   + vals[None, :, None] - 1)
-        for blocks in set_partitions(m):
-            masks = np.array([sum(1 << (x - 1) for x in blk) for blk in blocks],
-                             dtype=np.int64)
-            empties = np.sum((qs[None, :] & masks[:, None]) == 0, axis=0)
-            lhs = a_pows @ b_lut[:, empties].T              # lhs[ai, bi]
-            blk_sizes = np.array([len(blk) for blk in blocks])
-            rhs = rhs_lut[:, :, blk_sizes].prod(axis=2)
-            if not np.array_equal(lhs, rhs):
-                ai, bi = (int(v[0]) for v in np.nonzero(lhs != rhs))
-                return name, False, (f"m={m}, blocks={blocks}, A={int(vals[ai])}, "
-                                     f"B={int(vals[bi])}: {int(lhs[ai, bi])} != "
-                                     f"{int(rhs[ai, bi])}")
+        for labels in rgs_batches(m, max(1, _BATCH_CELLS >> m)):
+            lhs, rhs = binomial_sides(labels, vals)
+            bad = np.nonzero(lhs != rhs)
+            if bad[0].size:
+                p, ai, bi = (int(x[0]) for x in bad)
+                return name, False, (f"m={m}, blocks={rgs_blocks(labels[p])}, "
+                                     f"A={int(vals[ai])}, B={int(vals[bi])}: "
+                                     f"{int(lhs[p, ai, bi])} != {int(rhs[p, ai, bi])}")
             checked += lhs.size
     return name, True, f"{checked} (partition, A, B) triples, m<={m_max}"
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -68,6 +69,15 @@ class TestPolynomial:
     def test_budget(self, capsys):
         code, _, err = run(capsys, "polynomial", "full", "10..10")
         assert code == 3 and "budget" in err
+
+    @pytest.mark.parametrize("argv", [("full", "0"), ("thin", "x"),
+                                      ("thin", "5..3"), ("thin", "0..2"),
+                                      ("thin", "2.."), ("semi", "..4")])
+    def test_bad_range_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "polynomial", *argv)
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestSeries:
@@ -162,3 +172,47 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [("enumerate", "nc", "3"),
+                                      ("polynomial", "thin", "3"),
+                                      ("verify", "thin"), ("verify", "lemmas")])
+    @pytest.mark.parametrize("budget", ["0", "-1", "x"])
+    def test_budget_override_below_1_exits_2(self, capsys, argv, budget):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--budget-override", budget])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == "" and "error:" in captured.err
+
+    def test_enumerate_honours_budget_override_1(self, capsys):
+        code, out, err = run(capsys, "enumerate", "nc", "3", "--budget-override", "1")
+        assert code == 3 and out == ""
+        assert "override" in err and "budget 1" in err
+
+
+class TestThreads:
+    @pytest.mark.parametrize("raw, want", [("zero", 1), ("0", 1), ("-2", 1),
+                                           ("100000", None)])
+    def test_bad_value_warns_once_and_clamps(self, capsys, monkeypatch, raw, want):
+        monkeypatch.setenv("MEANDER_THREADS", raw)
+        meanders._thread_count.cache_clear()
+        cpus = os.cpu_count() or 1
+        assert meanders._threads() == meanders._threads() == (want or cpus)
+        err = capsys.readouterr().err
+        assert err.count("warning: MEANDER_THREADS") == 1
+
+    def test_valid_value_is_silent(self, capsys, monkeypatch):
+        monkeypatch.setenv("MEANDER_THREADS", "1")
+        meanders._thread_count.cache_clear()
+        assert meanders._threads() == 1
+        assert capsys.readouterr().err == ""
+
+    def test_stdout_unchanged_by_bad_value(self, capsys, monkeypatch):
+        monkeypatch.delenv("MEANDER_THREADS", raising=False)
+        _, plain, _ = run(capsys, "polynomial", "semi", "1..6")
+        monkeypatch.setenv("MEANDER_THREADS", "many")
+        meanders._thread_count.cache_clear()
+        meanders._pair_histogram.cache_clear()
+        code, out, err = run(capsys, "polynomial", "semi", "1..6")
+        assert code == 0 and out == plain
+        assert "MEANDER_THREADS" in err
