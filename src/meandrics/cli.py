@@ -14,8 +14,9 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 resource limit exceeded.  All output is deterministic given the
 arguments (and seed); warnings go to stderr so stdout stays stable.
-The MEANDER_THREADS environment variable caps enumeration worker
-threads.
+The MEANDER_THREADS environment variable caps the worker threads of
+every pair scan (loop polynomials, generating and cumulant coefficients,
+and the pairwise cycle counts behind ``verify``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 ENUM_BUDGETS = {"nc": 14, "interval": 16, "kr-interval": 16, "rainbow": 4096}
+# Largest ORDER of ``series``.  At these orders thin and semi take about
+# 10 s and 1 GB, shallow-top 30-40 s (2 cores).
+SERIES_BUDGETS = {"thin": 64, "shallow-top": 28, "semi": 256}
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -136,6 +140,11 @@ def cmd_series(args: argparse.Namespace) -> int:
     if order < 1:
         print("error: order must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    budget = SERIES_BUDGETS[args.which]
+    if order > budget:
+        print(f"error: order={order} exceeds {args.which} series budget {budget}",
+              file=sys.stderr)
+        return EXIT_RESOURCE
     if args.which == "thin":
         series = transforms.thin_series(order)[0]
     elif args.which == "shallow-top":

@@ -155,10 +155,6 @@ def omega(l: int) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
-
-
 def partial_trace(m: np.ndarray, side: int, dims: tuple[int, int]) -> np.ndarray:
     """Trace out tensor factor ``side`` (0 = left, 1 = right) of a matrix
     on C^dims[0] (x) C^dims[1] with row-major composite indices."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -202,18 +202,29 @@ def _cycle_counts(perms: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _scan_chunk(inv_a: np.ndarray, imgs_b: np.ndarray, idx_a: np.ndarray,
-                idx_b: np.ndarray, base: int, nbins: int,
-                pair_ok: np.ndarray | None) -> np.ndarray:
-    """Histogram of (cycle_count, a-stat, b-stat) for one A-chunk against
-    all of B.  idx_a/idx_b are precomputed per-row index contributions."""
-    ca, n = inv_a.shape
-    comp = inv_a[:, imgs_b]                   # (ca, mb, n): (alpha~ beta)(i)
-    counts = _cycle_counts(comp.reshape(-1, n))
-    idx = counts * base * base + (idx_a[:, None] + idx_b[None, :]).ravel()
-    if pair_ok is not None:
-        idx = idx[pair_ok.ravel()]
-    return np.bincount(idx, minlength=nbins)
+def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
+                reduce: Callable[[slice, np.ndarray], np.ndarray]) -> list[np.ndarray]:
+    """reduce(rows, counts) for each chunk of A rows against all of B, in
+    chunk order.  rows is the chunk's slice of A; counts holds
+    #cycles(alpha~ beta) for its pairs, A-major.  Chunks are mapped over
+    up to MEANDER_THREADS worker threads."""
+    ma, n = a_imgs.shape
+    inv = np.empty_like(a_imgs)
+    inv[np.arange(ma)[:, None], a_imgs] = np.arange(n, dtype=a_imgs.dtype)
+    mb = b_imgs.shape[0]
+    chunk = max(1, 4_000_000 // max(1, mb * n))
+
+    def run(start: int) -> np.ndarray:
+        rows = slice(start, min(start + chunk, ma))
+        comp = inv[rows][:, b_imgs]           # (rows, mb, n): (alpha~ beta)(i)
+        return reduce(rows, _cycle_counts(comp.reshape(-1, n)))
+
+    starts = range(0, ma, chunk)
+    workers = _threads()
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, starts))
+    return [run(s) for s in starts]
 
 
 def _pair_scan(a_imgs: np.ndarray, a_stat: np.ndarray, b_imgs: np.ndarray,
@@ -223,36 +234,20 @@ def _pair_scan(a_imgs: np.ndarray, a_stat: np.ndarray, b_imgs: np.ndarray,
     """Joint histogram over all pairs of (#cycles(a~ b), a_stat, b_stat).
 
     When masks are given, only pairs with a_mask & b_mask == 0 are kept
-    (the trivial-meet filter of the cumulant sums).
+    (the trivial-meet filter of the cumulant sums).  Each chunk is reduced
+    to its own histogram, so no (MA, MB) array is ever held.
     """
-    ma = a_imgs.shape[0]
     base = n + 1
     nbins = base * base * (n + 1)
-    inv_all = np.empty_like(a_imgs)
-    rows = np.arange(ma)[:, None]
-    inv_all[rows, a_imgs] = np.arange(n, dtype=a_imgs.dtype)[None, :]
+    a_idx = a_stat * base
 
-    mb = b_imgs.shape[0]
-    chunk = max(1, 4_000_000 // max(1, mb * n))
-    starts = list(range(0, ma, chunk))
-
-    tasks = []
-    for s in starts:
-        sl = slice(s, min(s + chunk, ma))
-        pair_ok = None
+    def histogram(rows: slice, counts: np.ndarray) -> np.ndarray:
+        idx = counts * base * base + (a_idx[rows, None] + b_stat[None, :]).ravel()
         if a_masks is not None and b_masks is not None:
-            pair_ok = (a_masks[sl, None] & b_masks[None, :]) == 0
-        tasks.append((inv_all[sl], b_imgs, a_stat[sl] * base, b_stat, base,
-                      nbins, pair_ok))
+            idx = idx[((a_masks[rows, None] & b_masks[None, :]) == 0).ravel()]
+        return np.bincount(idx, minlength=nbins)
 
-    workers = _threads()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda t: _scan_chunk(*t), tasks))
-    else:
-        partials = [_scan_chunk(*t) for t in tasks]
-
-    total = np.sum(partials, axis=0, dtype=np.int64)
+    total = np.sum(_scan_pairs(a_imgs, b_imgs, histogram), axis=0, dtype=np.int64)
     hist: dict[tuple[int, int, int], int] = {}
     for flat in np.nonzero(total)[0]:
         k, rem = divmod(int(flat), base * base)
@@ -263,17 +258,9 @@ def _pair_scan(a_imgs: np.ndarray, a_stat: np.ndarray, b_imgs: np.ndarray,
 
 def pairwise_cycle_counts(a_imgs: np.ndarray, b_imgs: np.ndarray) -> np.ndarray:
     """(MA, MB) array of #cycles(alpha~ beta) for one-line image rows."""
-    ma, n = a_imgs.shape
-    rows = np.arange(ma)[:, None]
-    inv = np.empty_like(a_imgs)
-    inv[rows, a_imgs] = np.arange(n, dtype=a_imgs.dtype)[None, :]
     mb = b_imgs.shape[0]
-    out = np.empty((ma, mb), dtype=np.int64)
-    chunk = max(1, 4_000_000 // max(1, mb * n))
-    for s in range(0, ma, chunk):
-        comp = inv[s:s + chunk][:, b_imgs]
-        out[s:s + chunk] = _cycle_counts(comp.reshape(-1, n)).reshape(-1, mb)
-    return out
+    blocks = _scan_pairs(a_imgs, b_imgs, lambda rows, counts: counts.reshape(-1, mb))
+    return np.concatenate(blocks) if blocks else np.empty((0, mb), dtype=np.int64)
 
 
 def _class_sides(klass: MeanderClass, n: int):
@@ -331,9 +318,9 @@ def _kr_pair_histogram(klass: MeanderClass, n: int) -> Mapping[tuple[int, int, i
              for b in b_parts],
             dtype=np.int64)
     b_imgs, b_blocks = _geodesic_rows(b_parts)
-    # Kr-side exponents: ||alpha~ 1_n|| = n - 1 - ||alpha||, same for beta.
-    return _pair_scan(a_imgs, (n - 1) - (n - a_blocks), b_imgs,
-                      (n - 1) - (n - b_blocks), n,
+    # Kr-side exponents: ||alpha~ 1_n|| = n - 1 - ||alpha|| = #blocks - 1,
+    # same for beta.
+    return _pair_scan(a_imgs, a_blocks - 1, b_imgs, b_blocks - 1, n,
                       a_masks=a_masks, b_masks=b_masks)
 
 

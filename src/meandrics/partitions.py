@@ -168,18 +168,6 @@ class Permutation:
         return f"Permutation[{cyc}]"
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    return p.compose(q)
-
-
-def cycle_count(p: Permutation) -> int:
-    return p.cycle_count()
-
-
-def length(p: Permutation) -> int:
-    return p.length()
-
-
 # ---------------------------------------------------------------------------
 # Non-crossing partitions
 # ---------------------------------------------------------------------------
@@ -233,8 +221,9 @@ class NcPartition:
     @classmethod
     def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "NcPartition":
         # Internal: caller guarantees canonical non-crossing blocks.  Used
-        # by the enumeration streams, whose output is cross-validated
-        # against the checking constructor in the test suite.
+        # by the enumeration streams and CombSubset.to_partition, whose
+        # output is cross-validated against the checking constructor in
+        # the test suite.
         out = object.__new__(cls)
         out.n = n
         out.blocks = blocks
@@ -363,9 +352,12 @@ class CombSubset:
         return cls(part.n, q)
 
     def to_partition(self) -> NcPartition:
-        comb = sorted(self.q) + [self.n - 1]
-        rest = [[i] for i in range(self.n) if i not in self.q and i != self.n - 1]
-        return NcPartition(self.n, [comb] + rest)
+        # A comb never crosses.  The singletons below min(comb) are exactly
+        # 0..min(comb)-1, so inserting the comb there keeps canonical order.
+        comb = (*sorted(self.q), self.n - 1)
+        blocks = [(i,) for i in range(self.n - 1) if i not in self.q]
+        blocks.insert(comb[0], comb)
+        return NcPartition._trusted(self.n, tuple(blocks))
 
     def to_geodesic(self) -> Permutation:
         return self.to_partition().to_geodesic()
@@ -472,10 +464,10 @@ def enumerate_interval(n: int) -> Iterator[NcPartition]:
         start = 0
         for i in range(n - 1):
             if cuts >> i & 1:
-                blocks.append(list(range(start, i + 1)))
+                blocks.append(tuple(range(start, i + 1)))
                 start = i + 1
-        blocks.append(list(range(start, n)))
-        yield NcPartition(n, blocks)
+        blocks.append(tuple(range(start, n)))
+        yield NcPartition._trusted(n, tuple(blocks))
 
 
 def enumerate_kr_interval(n: int) -> Iterator[CombSubset]:

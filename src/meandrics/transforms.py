@@ -18,12 +18,15 @@ Scalar = Union[int, Fraction]
 # Exponent triples are packed into a single int: three 10-bit fields with
 # offset 256, so products add keys (minus the base) without carries as long
 # as exponents stay within a few hundred, far beyond any truncation order
-# used here.
+# used here.  Packing an exponent outside the field raises.
 _OFF = 256
 _BASE = (_OFF << 20) | (_OFF << 10) | _OFF
 
 
 def _pack(ey: int, ea: int, eb: int) -> int:
+    if not -_OFF <= min(ey, ea, eb) <= max(ey, ea, eb) < 1024 - _OFF:
+        raise OverflowError(f"exponents ({ey}, {ea}, {eb}) outside "
+                            f"{-_OFF}..{1023 - _OFF}")
     return ((ey + _OFF) << 20) | ((ea + _OFF) << 10) | (eb + _OFF)
 
 
@@ -46,7 +49,8 @@ class LaurentPoly:
         if terms:
             for (ey, ea, eb), c in terms.items():
                 if c:
-                    packed[_pack(ey, ea, eb)] = packed.get(_pack(ey, ea, eb), 0) + c
+                    k = _pack(ey, ea, eb)
+                    packed[k] = packed.get(k, 0) + c
         self._terms = {k: v for k, v in packed.items() if v}
 
     @classmethod
@@ -282,18 +286,6 @@ class TruncSeries:
         parts = [f"({self._coeffs[n]!r})*X^{n}"
                  for n in range(1, self.order + 1) if not self._coeffs[n].is_zero()]
         return " + ".join(parts) if parts else "0 (series)"
-
-
-def add(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a + b
-
-
-def mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a * b
-
-
-def scalar_mul(poly: LaurentPoly | int, s: TruncSeries) -> TruncSeries:
-    return s.scale(poly)
 
 
 def compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:

@@ -202,8 +202,8 @@ def check_comb_loop_formula(n_max: int = 8) -> CheckResult:
     for n in range(1, n_max + 1):
         combs = list(partitions.enumerate_kr_interval(n))
         ncs = list(partitions.enumerate_nc(n))
-        a_imgs = np.array([q.to_geodesic().images for q in combs], dtype=np.int16)
-        b_imgs = np.array([b.to_geodesic().images for b in ncs], dtype=np.int16)
+        a_imgs, _ = meanders._geodesic_rows(combs)
+        b_imgs, _ = meanders._geodesic_rows(ncs)
         direct = meanders.pairwise_cycle_counts(a_imgs, b_imgs)
         bn_sets = [frozenset(b.block_containing(n - 1)) for b in ncs]
         for qi, q in enumerate(combs):
@@ -246,9 +246,8 @@ def check_kreweras_loop_invariance(n_max: int = 7) -> CheckResult:
     checked = 0
     for n in range(1, n_max + 1):
         ncs = list(partitions.enumerate_nc(n))
-        imgs = np.array([p.to_geodesic().images for p in ncs], dtype=np.int16)
-        kr_imgs = np.array([p.kreweras().to_geodesic().images for p in ncs],
-                           dtype=np.int16)
+        imgs, _ = meanders._geodesic_rows(ncs)
+        kr_imgs, _ = meanders._geodesic_rows(p.kreweras() for p in ncs)
         plain = meanders.pairwise_cycle_counts(imgs, imgs)
         krd = meanders.pairwise_cycle_counts(kr_imgs, kr_imgs)
         if not np.array_equal(plain, krd):

@@ -100,6 +100,19 @@ class TestSeries:
         assert doc["coefficients"][0]["terms"] == [
             {"eY": 0, "eA": 0, "eB": 0, "coeff": "1"}]
 
+    @pytest.mark.parametrize("which,order", [
+        ("thin", "800"), ("thin", "65"), ("shallow-top", "29"), ("semi", "257")])
+    def test_over_budget_exits_3_before_any_work(self, capsys, monkeypatch,
+                                                 which, order):
+        def refuse(order):
+            raise AssertionError("series built past its budget")
+        for attr in ("thin_series", "shallow_top_series", "semi_meander_series"):
+            monkeypatch.setattr(cli.transforms, attr, refuse)
+        code, out, err = run(capsys, "series", which, order)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
 
 class TestVerify:
     def test_thin_suite_passes(self, capsys):

@@ -11,7 +11,6 @@ from meandrics.matrix_models import (
     estimate,
     estimate_sweep,
     hermitian_defect,
-    kron,
     min_eigenvalue,
     omega,
     partial_trace,
@@ -95,7 +94,7 @@ class TestLinearAlgebra:
         gen = sample_stream(SEED, 6)
         a = complex_gaussians(gen, (3, 3))
         b = complex_gaussians(gen, (4, 4))
-        big = kron(a, b)
+        big = np.kron(a, b)
         assert np.allclose(partial_trace(big, 1, (3, 4)), a * np.trace(b))
         assert np.allclose(partial_trace(big, 0, (3, 4)), b * np.trace(a))
 

@@ -293,11 +293,20 @@ class TestClosedCounts:
 
 class TestDeterminism:
     def test_thread_split_invariance(self, monkeypatch):
+        # full n=8 is 1430 x 1430 x 8 cells: five chunks, so two threads
+        # really split the scan
         from meandrics import meanders as mod
+        imgs, _ = _geodesic_rows(enumerate_nc(8))
+
+        def run_both():
+            mod._pair_histogram.cache_clear()
+            poly = generating_coefficient(MeanderClass.FULL, 8)
+            return poly, pairwise_cycle_counts(imgs, imgs)
+
+        monkeypatch.setattr(mod, "_threads", lambda: 1)
+        serial_poly, serial_table = run_both()
+        monkeypatch.setattr(mod, "_threads", lambda: 2)
+        threaded_poly, threaded_table = run_both()
         mod._pair_histogram.cache_clear()
-        serial = generating_coefficient(MeanderClass.SHALLOW_TOP, 7)
-        monkeypatch.setenv("MEANDER_THREADS", "3")
-        mod._pair_histogram.cache_clear()
-        threaded = generating_coefficient(MeanderClass.SHALLOW_TOP, 7)
-        mod._pair_histogram.cache_clear()
-        assert serial == threaded
+        assert serial_poly == threaded_poly
+        assert (serial_table == threaded_table).all()

@@ -132,6 +132,10 @@ class TestEnumeration:
             assert len(set(ivs)) == 2 ** (n - 1)
             assert all(all(b == tuple(range(b[0], b[-1] + 1)) for b in p.blocks)
                        for p in ivs)
+            combs = [q.to_partition() for q in enumerate_kr_interval(n)]
+            assert len(set(combs)) == 2 ** (n - 1)
+            for p in ivs + combs:
+                assert NcPartition(p.n, [list(b) for b in p.blocks]) == p
 
     def test_n1(self):
         assert [p.to_one_based() for p in enumerate_nc(1)] == [[[1]]]

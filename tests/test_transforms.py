@@ -63,6 +63,18 @@ class TestLaurentPoly:
         assert not inv_y.is_polynomial()
         assert (Y * A * B).is_polynomial()
 
+    def test_exponent_field_bounds(self):
+        # exponents are packed in 10-bit fields holding -256..767; outside
+        # them packing used to wrap silently (ea=800 read back as -224)
+        for e in (-256, 767):
+            assert LaurentPoly.monomial(1, ea=e).terms() == [((0, e, 0), 1)]
+        with pytest.raises(OverflowError):
+            LaurentPoly.monomial(1, ea=800)
+        with pytest.raises(OverflowError):
+            LaurentPoly({(0, 0, -257): 1})
+        with pytest.raises(OverflowError):
+            poly_from_json([{"eY": 768, "eA": 0, "eB": 0, "coeff": "1"}])
+
     def test_substitute_and_evaluate(self):
         p = Y * Y * A + 2 * B
         assert p.substitute(y=1) == A + 2 * B
