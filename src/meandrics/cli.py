@@ -35,7 +35,7 @@ EXIT_RESOURCE = 3
 
 ENUM_BUDGETS = {"nc": 14, "interval": 16, "kr-interval": 16, "rainbow": 4096}
 # Largest ORDER of ``series``.  At these orders thin and semi take about
-# 10 s and 1 GB, shallow-top 30-40 s (2 cores).
+# 2-3 s and 100-120 MB, shallow-top about 6 s and 50 MB (2 cores).
 SERIES_BUDGETS = {"thin": 64, "shallow-top": 28, "semi": 256}
 
 
@@ -153,13 +153,28 @@ def cmd_series(args: argparse.Namespace) -> int:
         series = transforms.semi_meander_series(order)
     out, close = _open_out(args.out)
     try:
-        doc = {"series": args.which, "order": order,
-               "coefficients": transforms.series_to_json(series)}
-        out.write(json.dumps(doc, indent=1) + "\n")
+        _write_series(out, args.which, series)
     finally:
         if close:
             out.close()
     return EXIT_OK
+
+
+def _write_series(out, which: str, series: transforms.TruncSeries) -> None:
+    """Write json.dumps({"series": which, "order": ..., "coefficients":
+    transforms.series_to_json(series)}, indent=1) and a newline, one
+    coefficient at a time, so the document is never held whole."""
+    out.write(f'{{\n "series": {json.dumps(which)},\n "order": {series.order},\n'
+              ' "coefficients": [\n')
+    for n, poly in enumerate(series.coefficients(), 1):
+        terms = ",\n".join(
+            f'    {{\n     "eY": {ey},\n     "eA": {ea},\n     "eB": {eb},\n'
+            f'     "coeff": "{c}"\n    }}'
+            for (ey, ea, eb), c in poly.terms())
+        out.write(f'  {{\n   "n": {n},\n   "terms": '
+                  + (f"[\n{terms}\n   ]" if terms else "[]")
+                  + ("\n  },\n" if n < series.order else "\n  }\n"))
+    out.write(" ]\n}\n")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -216,7 +216,9 @@ def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
 
     def run(start: int) -> np.ndarray:
         rows = slice(start, min(start + chunk, ma))
-        comp = inv[rows][:, b_imgs]           # (rows, mb, n): (alpha~ beta)(i)
+        # (rows, mb, n): (alpha~ beta)(i); np.take returns it C-contiguous,
+        # so the reshape below is a view, not a copy
+        comp = np.take(inv[rows], b_imgs, axis=1)
         return reduce(rows, _cycle_counts(comp.reshape(-1, n)))
 
     starts = range(0, ma, chunk)

@@ -6,32 +6,57 @@ free transform defined by the implicit relation M(X) = K(X (1 + M(X))),
 and the last-block composition identity used to assemble the shallow-top
 cumulant series.  Everything is exact integer (or Fraction) arithmetic;
 no floating point enters this module.
+
+A :class:`LaurentPoly` is two parallel numpy arrays: the exponent rows
+(eY, eA, eB) of its nonzero terms in lexicographic order, and their
+coefficients.  A product adds every pair of exponent rows and multiplies
+every pair of coefficients in one vectorised step, then sums the
+coefficients of equal rows; a sum does the same with the two operands'
+terms side by side.  Coefficients are int64 only while a bound in Python
+ints proves that no partial sum can wrap (||p||_1 ||q||_1 < 2**63 for a
+product, max|p| + max|q| < 2**63 for a sum); otherwise they are object
+arrays of Python ints, which never overflow.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
+
+import numpy as np
 
 Scalar = Union[int, Fraction]
 
-# Exponent triples are packed into a single int: three 10-bit fields with
-# offset 256, so products add keys (minus the base) without carries as long
-# as exponents stay within a few hundred, far beyond any truncation order
-# used here.  Packing an exponent outside the field raises.
-_OFF = 256
-_BASE = (_OFF << 20) | (_OFF << 10) | _OFF
+# int64 coefficients hold |c| < 2**63 only (never -2**63, so negation and
+# abs cannot wrap).  Exponents satisfy |e| < 2**20, so a product's exponent
+# sums cannot wrap and the flat index of its bounding box (each side
+# < 2**21) fits an int64; an exponent outside that range raises
+# OverflowError.
+_INT64_BOUND = 1 << 63
+_EXP_BOUND = 1 << 20
+# A reduction scatters into the dense bounding box when it has at most
+# this many cells per coefficient being summed; sparser keys are sorted.
+_DENSE_CELLS = 8
 
 
-def _pack(ey: int, ea: int, eb: int) -> int:
-    if not -_OFF <= min(ey, ea, eb) <= max(ey, ea, eb) < 1024 - _OFF:
-        raise OverflowError(f"exponents ({ey}, {ea}, {eb}) outside "
-                            f"{-_OFF}..{1023 - _OFF}")
-    return ((ey + _OFF) << 20) | ((ea + _OFF) << 10) | (eb + _OFF)
+def _coefficients(values) -> np.ndarray:
+    """The canonical coefficient array of values: int64 when each one is
+    an integer of magnitude below 2**63, an object array otherwise."""
+    obj = np.array(values, dtype=object)
+    try:
+        fixed = obj.astype(np.int64)
+    except OverflowError:
+        return obj
+    if (fixed == obj).all() and (fixed != -_INT64_BOUND).all():
+        return fixed
+    return obj
 
 
-def _unpack(key: int) -> tuple[int, int, int]:
-    return (key >> 20) - _OFF, ((key >> 10) & 0x3FF) - _OFF, (key & 0x3FF) - _OFF
+class _Stats(NamedTuple):
+    lo: np.ndarray          # per-variable minimum and maximum exponent
+    hi: np.ndarray
+    abs_max: int | None     # max |c| and ||c||_1 of int64 coefficients;
+    l1: int | None          # None for an object array
 
 
 class LaurentPoly:
@@ -42,84 +67,109 @@ class LaurentPoly:
     produced by this module is an ordinary polynomial.
     """
 
-    __slots__ = ("_terms",)
+    # _terms: (N, 3) int64 exponent rows in strictly increasing
+    # lexicographic order; _coeffs: the N nonzero coefficients, in the
+    # dtype _coefficients picks; _cache: the _Stats, made on first use.
+    __slots__ = ("_terms", "_coeffs", "_cache")
 
     def __init__(self, terms: Mapping[tuple[int, int, int], int] | None = None):
-        packed: dict[int, int] = {}
-        if terms:
-            for (ey, ea, eb), c in terms.items():
-                if c:
-                    k = _pack(ey, ea, eb)
-                    packed[k] = packed.get(k, 0) + c
-        self._terms = {k: v for k, v in packed.items() if v}
+        items = [(e, c) for e, c in terms.items() if c] if terms else []
+        exps = np.array([e for e, _ in items], dtype=np.int64).reshape(-1, 3)
+        order = np.lexsort(exps.T[::-1])
+        self._terms = exps[order]
+        self._coeffs = _coefficients([c for _, c in items])[order]
+        self._cache = None
+        if items:
+            stats = self._stats()
+            _box(stats.lo, stats.hi)     # raises for an exponent out of range
 
     @classmethod
-    def _raw(cls, packed: dict[int, int]) -> "LaurentPoly":
+    def _raw(cls, terms: np.ndarray, coeffs: np.ndarray) -> "LaurentPoly":
         out = object.__new__(cls)
-        out._terms = packed
+        out._terms = terms
+        out._coeffs = coeffs
+        out._cache = None
         return out
 
     @classmethod
     def constant(cls, c: int) -> "LaurentPoly":
-        return cls._raw({_BASE: c} if c else {})
+        return cls.monomial(c)
 
     @classmethod
     def monomial(cls, coeff: int, ey: int = 0, ea: int = 0, eb: int = 0) -> "LaurentPoly":
-        return cls._raw({_pack(ey, ea, eb): coeff} if coeff else {})
+        return cls({(ey, ea, eb): coeff})
+
+    def _stats(self) -> _Stats:
+        if self._cache is None:
+            c = self._coeffs
+            abs_max = l1 = None
+            if c.dtype != object:
+                a = np.abs(c)
+                abs_max = int(a.max())
+                # the int64 sum is exact while len * max stays below 2**63
+                l1 = int(a.sum()) if len(a) * abs_max < _INT64_BOUND else sum(a.tolist())
+            self._cache = _Stats(self._terms.min(axis=0), self._terms.max(axis=0),
+                                 abs_max, l1)
+        return self._cache
 
     def terms(self) -> list[tuple[tuple[int, int, int], int]]:
         """Canonically sorted (exponent-triple, coefficient) pairs."""
-        return sorted((_unpack(k), v) for k, v in self._terms.items())
+        return list(zip(map(tuple, self._terms.tolist()), self._coeffs.tolist()))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self._coeffs)
 
     def is_polynomial(self) -> bool:
         """True when no variable appears with a negative exponent."""
-        return all(e >= 0 for k in self._terms for e in _unpack(k))
+        return self._terms.min(initial=0) >= 0
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(len(self._coeffs))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return LaurentPoly._raw(out)
+        if not other:
+            return self
+        if not self:
+            return other
+        s, t = self._stats(), other._stats()
+        exact = (s.abs_max is not None and t.abs_max is not None
+                 and s.abs_max + t.abs_max < _INT64_BOUND)
+        lo = np.minimum(s.lo, t.lo)
+        strides, offset, dims = _box(lo, np.maximum(s.hi, t.hi))
+        keys = np.concatenate([self._terms, other._terms]) @ strides - offset
+        coeffs = np.concatenate([self._coeffs, other._coeffs])
+        return _collect(keys, coeffs if exact else coeffs.astype(object), lo, dims)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw({k: -c for k, c in self._terms.items()})
+        return LaurentPoly._raw(self._terms, -self._coeffs)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            if not other:
+            if not other or not self:
                 return _ZERO
-            return LaurentPoly._raw({k: c * other for k, c in self._terms.items()})
+            abs_max = self._stats().abs_max
+            if abs_max is not None and abs_max * abs(other) < _INT64_BOUND:
+                return LaurentPoly._raw(self._terms, self._coeffs * other)
+            return LaurentPoly._raw(
+                self._terms, _coefficients(self._coeffs.astype(object) * other))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if len(self._terms) > len(other._terms):
-            self, other = other, self
-        out: dict[int, int] = {}
-        get = out.get
-        for k1, c1 in self._terms.items():
-            base = k1 - _BASE
-            for k2, c2 in other._terms.items():
-                k = base + k2
-                v = get(k, 0) + c1 * c2
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-        return LaurentPoly._raw(out)
+        if not self or not other:
+            return _ZERO
+        s, t = self._stats(), other._stats()
+        exact = s.l1 is not None and t.l1 is not None and s.l1 * t.l1 < _INT64_BOUND
+        lo = s.lo + t.lo
+        strides, offset, dims = _box(lo, s.hi + t.hi)
+        keys = np.add.outer(self._terms @ strides - offset, other._terms @ strides)
+        p, q = self._coeffs, other._coeffs
+        if not exact:
+            p, q = p.astype(object), q.astype(object)
+        return _collect(keys.ravel(), np.multiply.outer(p, q).ravel(), lo, dims)
 
     __rmul__ = __mul__
 
@@ -136,18 +186,19 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentPoly) and self._terms == other._terms
+        return (isinstance(other, LaurentPoly)
+                and np.array_equal(self._terms, other._terms)
+                and np.array_equal(self._coeffs, other._coeffs))
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._terms.tobytes(), tuple(self._coeffs.tolist())))
 
     def substitute(self, y: Scalar | None = None, a: Scalar | None = None,
                    b: Scalar | None = None) -> "LaurentPoly":
         """Substitute integer values for some variables (Laurent-safe only
         for values +-1; use :meth:`evaluate` for general rationals)."""
-        out: dict[int, int] = {}
-        for k, c in self._terms.items():
-            ey, ea, eb = _unpack(k)
+        out: dict[tuple[int, int, int], Scalar] = {}
+        for (ey, ea, eb), c in self.terms():
             coeff = c
             if y is not None:
                 coeff *= _int_pow(y, ey)
@@ -158,25 +209,18 @@ class LaurentPoly:
             if b is not None:
                 coeff *= _int_pow(b, eb)
                 eb = 0
-            if coeff:
-                kk = _pack(ey, ea, eb)
-                v = out.get(kk, 0) + coeff
-                if v:
-                    out[kk] = v
-                elif kk in out:
-                    del out[kk]
-        return LaurentPoly._raw(out)
+            out[ey, ea, eb] = out.get((ey, ea, eb), 0) + coeff
+        return LaurentPoly(out)
 
     def evaluate(self, yv: Scalar, av: Scalar, bv: Scalar) -> Scalar:
         """Exact evaluation; returns an int when the result is integral."""
         total = Fraction(0)
-        for k, c in self._terms.items():
-            ey, ea, eb = _unpack(k)
+        for (ey, ea, eb), c in self.terms():
             total += Fraction(c) * Fraction(yv) ** ey * Fraction(av) ** ea * Fraction(bv) ** eb
         return int(total) if total.denominator == 1 else total
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if self.is_zero():
             return "0"
         bits = []
         for (ey, ea, eb), c in self.terms():
@@ -186,6 +230,42 @@ class LaurentPoly:
             )
             bits.append(f"{c}{'*' + mono if mono else ''}")
         return " + ".join(bits)
+
+
+def _box(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, int, tuple[int, int, int]]:
+    """Strides, offset and shape of the C-ordered box of exponent rows
+    lo..hi: row @ strides - offset is a row's flat index in the box.
+    Raises OverflowError unless every exponent in it is below 2**20 in
+    magnitude."""
+    (ly, la, lb), (hy, ha, hb) = lo.tolist(), hi.tolist()
+    if min(ly, la, lb) <= -_EXP_BOUND or max(hy, ha, hb) >= _EXP_BOUND:
+        raise OverflowError(f"exponents {(ly, la, lb)}..{(hy, ha, hb)} outside "
+                            f"{1 - _EXP_BOUND}..{_EXP_BOUND - 1}")
+    dims = hy - ly + 1, ha - la + 1, hb - lb + 1
+    strides = dims[1] * dims[2], dims[2], 1
+    return np.array(strides), ly * strides[0] + la * strides[1] + lb, dims
+
+
+def _collect(keys: np.ndarray, coeffs: np.ndarray, lo: np.ndarray,
+             dims: tuple[int, int, int]) -> LaurentPoly:
+    """The polynomial whose coefficient at the exponent row of flat index
+    k in the box of shape dims from lo is the sum of coeffs[keys == k]."""
+    cells = dims[0] * dims[1] * dims[2]
+    if cells <= _DENSE_CELLS * len(keys):
+        sums = np.zeros(cells, dtype=coeffs.dtype)
+        np.add.at(sums, keys, coeffs)
+        flat = sums.nonzero()[0]
+        sums = sums[flat]
+    else:
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        sums = np.add.reduceat(coeffs[order], starts)
+        nonzero = sums.nonzero()[0]
+        flat, sums = keys[starts[nonzero]], sums[nonzero]
+    if sums.dtype == object:
+        sums = _coefficients(sums)
+    return LaurentPoly._raw(np.array(np.unravel_index(flat, dims)).T + lo, sums)
 
 
 def _int_pow(base: Scalar, e: int) -> Scalar:

@@ -1,9 +1,10 @@
+import io
 import json
 import os
 
 import pytest
 
-from meandrics import cli, meanders
+from meandrics import cli, meanders, transforms
 
 
 def run(capsys, *argv):
@@ -99,6 +100,32 @@ class TestSeries:
         assert code == 0
         assert doc["coefficients"][0]["terms"] == [
             {"eY": 0, "eA": 0, "eB": 0, "coeff": "1"}]
+
+    @pytest.mark.parametrize("which,build", [
+        ("thin", lambda n: transforms.thin_series(n)[0]),
+        ("shallow-top", lambda n: transforms.shallow_top_series(n)[0]),
+        ("semi", transforms.semi_meander_series)], ids=["thin", "shallow-top", "semi"])
+    def test_streamed_output_is_indented_json_dumps(self, capsys, tmp_path,
+                                                     which, build):
+        for order in range(1, 9):
+            doc = {"series": which, "order": order,
+                   "coefficients": transforms.series_to_json(build(order))}
+            want = json.dumps(doc, indent=1) + "\n"
+            code, out, _ = run(capsys, "series", which, str(order))
+            assert code == 0 and out == want
+            path = tmp_path / f"{which}-{order}.json"
+            code, out, _ = run(capsys, "series", which, str(order), "--out", str(path))
+            assert code == 0 and out == ""
+            assert path.read_bytes() == want.encode()
+
+    def test_streamed_empty_coefficient(self):
+        series = transforms.TruncSeries.x(3)     # X: coefficients 2 and 3 are 0
+        buf = io.StringIO()
+        cli._write_series(buf, "thin", series)
+        doc = {"series": "thin", "order": 3,
+               "coefficients": transforms.series_to_json(series)}
+        assert buf.getvalue() == json.dumps(doc, indent=1) + "\n"
+        assert '"terms": []' in buf.getvalue()
 
     @pytest.mark.parametrize("which,order", [
         ("thin", "800"), ("thin", "65"), ("shallow-top", "29"), ("semi", "257")])

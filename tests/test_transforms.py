@@ -2,9 +2,11 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meandrics import transforms
 from meandrics.partitions import catalan, enumerate_interval, enumerate_nc
 from meandrics.transforms import (
     A,
@@ -64,16 +66,25 @@ class TestLaurentPoly:
         assert (Y * A * B).is_polynomial()
 
     def test_exponent_field_bounds(self):
-        # exponents are packed in 10-bit fields holding -256..767; outside
-        # them packing used to wrap silently (ea=800 read back as -224)
-        for e in (-256, 767):
-            assert LaurentPoly.monomial(1, ea=e).terms() == [((0, e, 0), 1)]
+        # exponents used to be packed in 10-bit fields holding -256..767;
+        # they are int64 rows now and round-trip exactly well outside that
+        assert LaurentPoly.monomial(1, ea=800).terms() == [((0, 800, 0), 1)]
+        assert LaurentPoly({(0, 0, -257): 1}).terms() == [((0, 0, -257), 1)]
+        p = poly_from_json([{"eY": 768, "eA": 0, "eB": 0, "coeff": "1"}])
+        assert p.terms() == [((768, 0, 0), 1)]
+        # beyond |e| < 2**20 a flat box index could wrap: raise instead
+        bound = 1 << 20
+        LaurentPoly.monomial(1, ey=bound - 1, eb=1 - bound)
         with pytest.raises(OverflowError):
-            LaurentPoly.monomial(1, ea=800)
+            LaurentPoly.monomial(1, ea=bound)
         with pytest.raises(OverflowError):
-            LaurentPoly({(0, 0, -257): 1})
+            LaurentPoly({(0, 0, -bound): 1})
         with pytest.raises(OverflowError):
-            poly_from_json([{"eY": 768, "eA": 0, "eB": 0, "coeff": "1"}])
+            LaurentPoly.monomial(1, ey=bound // 2) ** 2
+
+    def test_product_has_no_carry(self):
+        # packed keys used to carry between fields: this read back as Y A^-24
+        assert (LaurentPoly.monomial(1, ea=500) ** 2).terms() == [((0, 1000, 0), 1)]
 
     def test_substitute_and_evaluate(self):
         p = Y * Y * A + 2 * B
@@ -299,3 +310,174 @@ class TestCoefficientEvaluate:
         doc = series_to_json(semi_meander_series(2))
         assert doc[0] == {"n": 1, "terms": [{"eY": 0, "eA": 0, "eB": 0, "coeff": "1"}]}
         assert {t["coeff"] for t in doc[1]["terms"]} == {"1"}
+
+
+# ---------------------------------------------------------------------------
+# The coefficient-array kernel pinned against the dict-of-terms kernel
+# ---------------------------------------------------------------------------
+
+class DictPoly:
+    """Reference kernel: a dict from exponent triples to Python-int
+    coefficients, multiplied one term pair at a time (LaurentPoly's
+    product and sum before the coefficient arrays, minus the packing)."""
+
+    def __init__(self, terms=None):
+        self.d = {k: c for k, c in (terms or {}).items() if c}
+
+    @classmethod
+    def monomial(cls, coeff, ey=0, ea=0, eb=0):
+        return cls({(ey, ea, eb): coeff})
+
+    @classmethod
+    def constant(cls, c):
+        return cls.monomial(c)
+
+    def terms(self):
+        return sorted(self.d.items())
+
+    def is_zero(self):
+        return not self.d
+
+    def is_polynomial(self):
+        return all(e >= 0 for k in self.d for e in k)
+
+    def __add__(self, other):
+        out = dict(self.d)
+        for k, c in other.d.items():
+            out[k] = out.get(k, 0) + c
+        return DictPoly(out)
+
+    def __neg__(self):
+        return DictPoly({k: -c for k, c in self.d.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return DictPoly({k: c * other for k, c in self.d.items()})
+        out = {}
+        for (y1, a1, b1), c1 in self.d.items():
+            for (y2, a2, b2), c2 in other.d.items():
+                k = (y1 + y2, a1 + a2, b1 + b2)
+                out[k] = out.get(k, 0) + c1 * c2
+        return DictPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e):
+        out = DictPoly.constant(1)
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return self.d == other.d
+
+    def substitute(self, y=None, a=None, b=None):
+        out = {}
+        for (ey, ea, eb), c in self.d.items():
+            for v, e in ((y, ey), (a, ea), (b, eb)):
+                if v is not None:
+                    c *= Fraction(v) ** e
+            k = (0 if y is not None else ey, 0 if a is not None else ea,
+                 0 if b is not None else eb)
+            out[k] = out.get(k, 0) + c
+        return DictPoly(out)
+
+    def evaluate(self, yv, av, bv):
+        total = sum(Fraction(c) * Fraction(yv) ** ey * Fraction(av) ** ea
+                    * Fraction(bv) ** eb for (ey, ea, eb), c in self.d.items())
+        return int(total) if total.denominator == 1 else total
+
+
+_BIG = 1 << 70
+_coeffs = st.one_of(
+    st.integers(-9, 9), st.integers(-_BIG, _BIG),
+    st.sampled_from([(1 << 63) - 1, -(1 << 63) + 1, 1 << 63, -(1 << 63), 1 << 62, 3 << 61]))
+_wide = st.integers(-3, 40)
+_narrow = st.integers(-1, 2)     # a dense bounding box: the scatter path
+poly_terms = st.one_of(
+    st.dictionaries(st.tuples(_wide, _wide, _wide), _coeffs, max_size=12),
+    st.dictionaries(st.tuples(_narrow, _narrow, _narrow), _coeffs, max_size=12))
+
+
+def _pair(terms):
+    return LaurentPoly(terms), DictPoly(terms)
+
+
+class TestAgainstDictKernel:
+    @given(poly_terms, poly_terms)
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, d1, d2):
+        (p, rp), (q, rq) = _pair(d1), _pair(d2)
+        assert p.terms() == rp.terms()
+        assert (p * q).terms() == (rp * rq).terms()
+        assert (p + q).terms() == (rp + rq).terms()
+        assert (p - q).terms() == (rp - rq).terms()
+        assert (p - p).is_zero()
+        for k in (-(1 << 40), -3, 7, 1 << 62):
+            assert (p * k).terms() == (rp * k).terms()
+            assert (k * q).terms() == (k * rq).terms()
+        assert (p == q) == (rp == rq)
+        if p == q:
+            assert hash(p) == hash(q)
+        rebuilt = LaurentPoly(dict(reversed(list(d1.items()))))
+        assert p == rebuilt and hash(p) == hash(rebuilt)
+        assert p * q == q * p and hash(p * q) == hash(q * p)
+        assert p.is_polynomial() == rp.is_polynomial()
+
+    @given(st.dictionaries(
+        st.tuples(st.integers(-3, 40), st.integers(-3, 40), st.integers(-3, 40)),
+        st.integers(-_BIG, _BIG), max_size=5), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_powers(self, d, e):
+        p, rp = _pair(d)
+        assert (p ** e).terms() == (rp ** e).terms()
+
+    @given(poly_terms, st.sampled_from([None, 1, -1, 2, -3]),
+           st.sampled_from([None, 1, -1, 2]), st.sampled_from([None, 1, -1]),
+           st.sampled_from([1, -2, Fraction(1, 3)]))
+    @settings(max_examples=100, deadline=None)
+    def test_substitute_and_evaluate(self, d, y, a, b, v):
+        p, rp = _pair(d)
+        assert p.substitute(y=y, a=a, b=b).terms() == rp.substitute(y=y, a=a, b=b).terms()
+        assert p.evaluate(v, 2, -1) == rp.evaluate(v, 2, -1)
+
+    def test_int64_operands_with_a_product_bound_past_2_63(self):
+        # ||p||_1 ||q||_1 = 2**64 forces the object path although every
+        # operand and the product itself fit int64
+        d1 = {(0, 0, 0): 1 << 31, (1, 0, 0): 1 << 31}
+        d2 = {(0, 0, 0): 1 << 31, (1, 0, 0): -(1 << 31)}
+        (p, rp), (q, rq) = _pair(d1), _pair(d2)
+        assert p._coeffs.dtype == np.int64 and q._coeffs.dtype == np.int64
+        assert (p * q).terms() == (rp * rq).terms() == [
+            ((0, 0, 0), 1 << 62), ((2, 0, 0), -(1 << 62))]
+        assert (p * q)._coeffs.dtype == np.int64     # back to int64: it fits
+        # a product that really leaves int64
+        assert (p * p).terms() == (rp * rp).terms() == [
+            ((0, 0, 0), 1 << 62), ((1, 0, 0), 1 << 63), ((2, 0, 0), 1 << 62)]
+        assert (p * p)._coeffs.dtype == object
+        # and a sum
+        big = LaurentPoly({(0, 0, 0): 3 << 61})
+        assert (big + big).terms() == [((0, 0, 0), 3 << 62)]
+
+    @pytest.mark.parametrize("build", [
+        lambda n: thin_series(n)[0], lambda n: thin_series(n)[1],
+        lambda n: shallow_top_series(n)[0], lambda n: shallow_top_series(n)[1],
+        semi_meander_series],
+        ids=["thin-M", "thin-K", "shallow-top-M", "shallow-top-K", "semi"])
+    def test_series_match_the_dict_kernel(self, monkeypatch, build):
+        want = {}
+        with monkeypatch.context() as m:
+            for name, poly in (("_ZERO", ZERO), ("_ONE", ONE), ("Y", Y), ("A", A), ("B", B),
+                               ("_THIN_KERNEL", A * B + (A + B) * Y),
+                               ("_THIN_KERNEL1", ONE + A * B + (A + B) * Y)):
+                m.setattr(transforms, name, DictPoly(dict(poly.terms())))
+            m.setattr(transforms, "LaurentPoly", DictPoly)
+            for order in (1, 2, 5, 10):
+                coeffs = build(order).coefficients()
+                assert all(isinstance(c, DictPoly) for c in coeffs)
+                want[order] = [c.terms() for c in coeffs]
+        for order, terms in want.items():
+            assert [c.terms() for c in build(order).coefficients()] == terms
