@@ -36,6 +36,12 @@ _INT64_BOUND = 1 << 63
 _EXP_BOUND = 1 << 20
 # A reduction scatters into the dense bounding box when it has at most
 # this many cells per coefficient being summed; sparser keys are sorted.
+# The scatter costs O(cells) and the sort O(n log n) in the n summands.
+# Measured on outer-sum keys of 256 to 65,536 summands (2 cores, numpy
+# 2.4.6), the scatter is faster at up to 8 cells per summand and the sort
+# from 16 on; a wide box (up to 2**63 cells) fits in memory only sorted.
+# Reductions that scatter: 99 % of 8,252 in `series shallow-top 22`, 62 %
+# of 78 in `series thin 40`, 40 % of 22,520 in `verify all`.
 _DENSE_CELLS = 8
 
 
