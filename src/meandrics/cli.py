@@ -22,9 +22,10 @@ and the pairwise cycle counts behind ``verify``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from . import matrix_models, meanders, partitions, transforms, verify
 
@@ -62,10 +63,25 @@ def _budget(text: str) -> int:
     return value
 
 
-def _open_out(path: str | None):
+class _UsageError(Exception):
+    """A bad argument found after parsing; main prints it and exits 2."""
+
+
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """stdout, or the file at path opened for writing and closed on exit.
+
+    Each command enters it after its last budget check, so a command that
+    exits 3 leaves an existing file at path as it was."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+        return
+    try:
+        out = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {path!r}: {exc.strerror}") from None
+    with out:
+        yield out
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -81,8 +97,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if n > budget:
         print(f"error: n={n} exceeds enumeration budget {budget}", file=sys.stderr)
         return EXIT_RESOURCE
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         count = 0
         if args.kind == "nc":
             stream = partitions.enumerate_nc(n)
@@ -96,9 +111,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             out.write(json.dumps(partitions.partition_to_json(part)) + "\n")
             count += 1
         out.write(json.dumps({"count": count}) + "\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -108,19 +120,18 @@ def cmd_polynomial(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    klass = meanders.MeanderClass.from_tag(args.klass)
+    klass = meanders.MeanderClass(args.klass)
     if args.budget_override is not None:
         print(f"warning: budget override {args.budget_override}", file=sys.stderr)
-    out, close = _open_out(args.out)
-    try:
-        polys = []
-        for n in range(lo, hi + 1):
-            try:
-                polys.append(meanders.meander_polynomial(
-                    klass, n, budget=args.budget_override))
-            except meanders.ResourceLimitError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_RESOURCE
+    polys = []
+    for n in range(lo, hi + 1):
+        try:
+            polys.append(meanders.meander_polynomial(
+                klass, n, budget=args.budget_override))
+        except meanders.ResourceLimitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RESOURCE
+    with _output(args.out) as out:
         if args.format == "json":
             for poly in polys:
                 out.write(json.dumps(poly.to_json()) + "\n")
@@ -129,9 +140,6 @@ def cmd_polynomial(args: argparse.Namespace) -> int:
             for poly in polys:
                 for n, k, count in poly.csv_rows():
                     out.write(f"{n},{k},{count}\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -145,18 +153,14 @@ def cmd_series(args: argparse.Namespace) -> int:
         print(f"error: order={order} exceeds {args.which} series budget {budget}",
               file=sys.stderr)
         return EXIT_RESOURCE
-    if args.which == "thin":
-        series = transforms.thin_series(order)[0]
-    elif args.which == "shallow-top":
-        series = transforms.shallow_top_series(order)[0]
-    else:
-        series = transforms.semi_meander_series(order)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
+        if args.which == "thin":
+            series = transforms.thin_series(order)[0]
+        elif args.which == "shallow-top":
+            series = transforms.shallow_top_series(order)[0]
+        else:
+            series = transforms.semi_meander_series(order)
         _write_series(out, args.which, series)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -195,31 +199,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        model = matrix_models.Model.from_tag(args.model)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    model = matrix_models.Model(args.model)
     try:
         d_values = [int(x) for x in args.d.split(",")] if args.d else [8]
     except ValueError:
         print(f"error: bad --d list {args.d!r}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        spec = matrix_models.ModelSpec(
-            model, args.n, args.l, d=max(d_values, default=8),
+        # one spec per dimension, so that every d is checked before any work
+        specs = [matrix_models.ModelSpec(
+            model, args.n, args.l, d=d,
             samples=args.samples, seed=args.seed,
-            second_map=args.second_map)
+            second_map=args.second_map) for d in d_values]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        reports = matrix_models.estimate_sweep(spec, d_values)
+        reports = matrix_models.estimate_sweep(specs[0], d_values)
     except meanders.ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.format == "csv":
             out.write("model,n,l,d,samples,seed,mean,stderr,exact_target\n")
             for r in reports:
@@ -230,9 +230,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         else:
             for r in reports:
                 out.write(json.dumps(r.to_json()) + "\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -290,7 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

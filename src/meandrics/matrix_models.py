@@ -53,13 +53,6 @@ class Model(enum.Enum):
     SHALLOW_TOP = "shallow-top"
     THIN = "thin"
 
-    @classmethod
-    def from_tag(cls, tag: str) -> "Model":
-        for member in cls:
-            if member.value == tag:
-                return member
-        raise ValueError(f"unknown model {tag!r}")
-
 
 @dataclass(frozen=True)
 class ModelSpec:

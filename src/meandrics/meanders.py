@@ -54,13 +54,6 @@ class MeanderClass(enum.Enum):
     THIN = "thin"                 # Int(n) x Int(n)
     SEMI = "semi"                 # Int(n) x {rainbow}
 
-    @classmethod
-    def from_tag(cls, tag: str) -> "MeanderClass":
-        for member in cls:
-            if member.value == tag:
-                return member
-        raise ValueError(f"unknown meander class {tag!r}")
-
 
 DEFAULT_BUDGETS: dict[MeanderClass, int] = {
     MeanderClass.FULL: 9,

@@ -21,7 +21,7 @@ arrays of Python ints, which never overflow.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -291,6 +291,15 @@ ONE = _ONE
 ZERO = _ZERO
 
 
+def _dot(acc: LaurentPoly, pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """acc plus the sum of p * q over the pairs whose factors are both
+    nonzero, added in the order given."""
+    for p, q in pairs:
+        if not p.is_zero() and not q.is_zero():
+            acc = acc + p * q
+    return acc
+
+
 class OrderMismatchError(ValueError):
     """Series of different truncation orders were combined."""
 
@@ -338,31 +347,11 @@ class TruncSeries:
         if self.order != other.order:
             raise OrderMismatchError(f"orders differ: {self.order} != {other.order}")
 
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        return TruncSeries(self.order, tuple(
-            a + b for a, b in zip(self._coeffs[1:], other._coeffs[1:])))
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        return TruncSeries(self.order, tuple(
-            a - b for a, b in zip(self._coeffs[1:], other._coeffs[1:])))
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        out = [_ZERO] * (self.order + 1)
-        for i in range(1, self.order):
-            ai = self._coeffs[i]
-            if ai.is_zero():
-                continue
-            for j in range(1, self.order - i + 1):
-                bj = other._coeffs[j]
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
-        return TruncSeries(self.order, tuple(out[1:]))
-
-    def scale(self, poly: LaurentPoly | int) -> "TruncSeries":
-        return TruncSeries(self.order, tuple(c * poly for c in self._coeffs[1:]))
+        a, b = self._coeffs, other._coeffs
+        return TruncSeries.from_function(self.order, lambda n: _dot(
+            _ZERO, ((a[i], b[n - i]) for i in range(1, n))))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TruncSeries)
@@ -377,16 +366,9 @@ class TruncSeries:
 def compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
     """outer(inner(X)) truncated; inner has no constant term by type."""
     outer._check(inner)
-    n = outer.order
-    acc = TruncSeries.zero(n)
-    power = inner
-    for s in range(1, n + 1):
-        if s > 1:
-            power = power * inner
-        cs = outer.coefficient(s)
-        if not cs.is_zero():
-            acc = acc + power.scale(cs)
-    return acc
+    pw = _power_table(inner._coeffs, outer.order)
+    return TruncSeries.from_function(outer.order, lambda n: _dot(
+        _ZERO, ((outer._coeffs[s], pw[s][n]) for s in range(1, n + 1))))
 
 
 def one_plus_shift(g: TruncSeries) -> TruncSeries:
@@ -404,12 +386,7 @@ def boolean_transform(k: TruncSeries) -> TruncSeries:
     n = k.order
     m = [_ZERO] * (n + 1)
     for i in range(1, n + 1):
-        acc = k.coefficient(i)
-        for j in range(1, i):
-            kj = k.coefficient(j)
-            if not kj.is_zero() and not m[i - j].is_zero():
-                acc = acc + kj * m[i - j]
-        m[i] = acc
+        m[i] = _dot(k.coefficient(i), ((k.coefficient(j), m[i - j]) for j in range(1, i)))
     return TruncSeries(n, tuple(m[1:]))
 
 
@@ -418,29 +395,26 @@ def boolean_inverse(m: TruncSeries) -> TruncSeries:
     n = m.order
     k = [_ZERO] * (n + 1)
     for i in range(1, n + 1):
-        acc = m.coefficient(i)
-        for j in range(1, i):
-            if not k[j].is_zero():
-                mij = m.coefficient(i - j)
-                if not mij.is_zero():
-                    acc = acc - k[j] * mij
-        k[i] = acc
+        k[i] = m.coefficient(i) - _dot(
+            _ZERO, ((k[j], m.coefficient(i - j)) for j in range(1, i)))
     return TruncSeries(n, tuple(k[1:]))
 
 
-def _powers_column(p: list[LaurentPoly], pw: list[list[LaurentPoly]], n: int) -> None:
-    # Fill pw[s][n] = [X^n] P(X)^s for s = 2..n, where pw[1][*] = p[*] and
+def _powers_column(p: Sequence[LaurentPoly], pw: list[list[LaurentPoly]], n: int) -> None:
+    # Fill pw[s][n] = [X^n] P(X)^s for s = 1..n, where p[j] = [X^j] P and
     # all pw[.][<n] entries are already present.
+    pw[1][n] = p[n]
     for s in range(2, n + 1):
-        acc = _ZERO
-        for j in range(1, n - s + 2):
-            pj = p[j]
-            if pj.is_zero():
-                continue
-            prev = pw[s - 1][n - j]
-            if not prev.is_zero():
-                acc = acc + pj * prev
-        pw[s][n] = acc
+        pw[s][n] = _dot(_ZERO, ((p[j], pw[s - 1][n - j]) for j in range(1, n - s + 2)))
+
+
+def _power_table(p: Sequence[LaurentPoly], n: int) -> list[list[LaurentPoly]]:
+    """pw with pw[s][i] = [X^i] P(X)^s for 1 <= s <= i <= n (zero for
+    s > i), where p[j] = [X^j] P for j = 1..n and P has no constant term."""
+    pw = [[_ZERO] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        _powers_column(p, pw, i)
+    return pw
 
 
 def free_transform(k: TruncSeries) -> TruncSeries:
@@ -459,35 +433,19 @@ def free_transform(k: TruncSeries) -> TruncSeries:
     for i in range(1, n + 1):
         if i >= 2:
             p[i] = m[i - 1]
-        pw[1][i] = p[i]
         _powers_column(p, pw, i)
-        acc = _ZERO
-        for s in range(1, i + 1):
-            ks = k.coefficient(s)
-            if not ks.is_zero() and not pw[s][i].is_zero():
-                acc = acc + ks * pw[s][i]
-        m[i] = acc
+        m[i] = _dot(_ZERO, ((k.coefficient(s), pw[s][i]) for s in range(1, i + 1)))
     return TruncSeries(n, tuple(m[1:]))
 
 
 def free_inverse(m: TruncSeries) -> TruncSeries:
     """Recover K from M = K(X(1+M)) by forward substitution."""
     n = m.order
-    p = [_ZERO] * (n + 1)
-    p[1] = _ONE
-    for i in range(2, n + 1):
-        p[i] = m.coefficient(i - 1)
-    pw = [[_ZERO] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        pw[1][i] = p[i]
-        _powers_column(p, pw, i)
+    pw = _power_table(one_plus_shift(m)._coeffs, n)
     k = [_ZERO] * (n + 1)
     for i in range(1, n + 1):
-        acc = m.coefficient(i)
-        for s in range(1, i):
-            if not k[s].is_zero() and not pw[s][i].is_zero():
-                acc = acc - k[s] * pw[s][i]
-        k[i] = acc  # pw[i][i] == 1
+        # m_i = sum_(s <= i) kappa_s pw[s][i] and pw[i][i] == 1
+        k[i] = m.coefficient(i) - _dot(_ZERO, ((k[s], pw[s][i]) for s in range(1, i)))
     return TruncSeries(n, tuple(k[1:]))
 
 

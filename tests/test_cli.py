@@ -1,10 +1,12 @@
+import contextlib
 import io
 import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from meandrics import cli, meanders, transforms
+from meandrics import cli, matrix_models, meanders, transforms
 
 
 def run(capsys, *argv):
@@ -206,6 +208,17 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "nc-nc", "0", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("d", ["8,1", "1,8", "4,8,0,16"])
+    def test_every_d_checked_before_any_work(self, capsys, monkeypatch, d):
+        def refuse(*args):
+            raise AssertionError("estimate ran before every d was checked")
+        monkeypatch.setattr(cli.matrix_models, "estimate_sweep", refuse)
+        code, out, err = run(capsys, "simulate", "gue-df", "2", "2",
+                             "--d", d, "--samples", "2")
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
 
 class TestUsage:
     def test_missing_command(self):
@@ -228,6 +241,122 @@ class TestUsage:
         code, out, err = run(capsys, "enumerate", "nc", "3", "--budget-override", "1")
         assert code == 3 and out == ""
         assert "override" in err and "budget 1" in err
+
+
+class TestOut:
+    @pytest.mark.parametrize("argv", [("enumerate", "nc", "3"),
+                                      ("polynomial", "thin", "3"),
+                                      ("series", "thin", "3"),
+                                      ("simulate", "thin", "2", "2")])
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, argv, where):
+        path = tmp_path / "missing" / "x" if where == "missing-dir" else tmp_path
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_series_over_budget_exits_3_before_opening_out(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        code, out, err = run(capsys, "series", "thin", "65", "--out", str(path))
+        assert code == 3 and out == "" and err.startswith("error:")
+        assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# Every argv exits 0-3 (or argparse's SystemExit(2)) and never raises
+# ---------------------------------------------------------------------------
+
+# --out values, replaced in the test by paths under a temporary directory
+_OUT_FILE, _OUT_MISSING, _OUT_DIR = "<file>", "<missing-dir>/x", "<dir>"
+_BAD_INTS = ["0", "-1", "-7", "x", "2.5", ""]
+
+
+def _mostly(good, bad):
+    """good in about three draws of four, bad in the others."""
+    return st.sampled_from([good, good, good, bad]).flatmap(lambda s: s)
+
+
+def _ints(hi: int):
+    return _mostly(st.integers(1, hi).map(str), st.sampled_from(_BAD_INTS))
+
+
+def _choice(names):
+    return _mostly(st.sampled_from(names), st.just("bogus"))
+
+
+def _options(**flags):
+    """A list of (flag, value) pairs drawn from flags, each at most once,
+    plus now and then a flag no subcommand knows."""
+    pairs = [st.tuples(st.just(f"--{name.replace('_', '-')}"), values)
+             for name, values in flags.items()]
+    return st.lists(_mostly(st.one_of(*pairs), st.just(("--bogus", "1"))),
+                    max_size=len(flags) + 1, unique_by=lambda p: p[0])
+
+
+_budgets = st.sampled_from(["1", "2", "6", "1000", "0", "-3", "x"])
+_outs = st.sampled_from([_OUT_FILE, _OUT_MISSING, _OUT_DIR])
+_ranges = st.one_of(
+    _ints(6),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda t: f"{t[0]}..{t[1]}"),
+    st.sampled_from(["5..3", "0..2", "-1..2", "2..", "..4", "1..x", "1...3", "..", "1,3"]))
+_d_lists = st.one_of(
+    st.lists(st.integers(-1, 8), min_size=1, max_size=3).map(
+        lambda ds: ",".join(map(str, ds))),
+    st.sampled_from(["4,x", ",", "", "8,", " 4"]))
+
+
+def _command(name, positionals, options):
+    return st.tuples(st.just(name), st.tuples(*positionals), options).map(
+        lambda t: [t[0], *t[1], *(x for pair in t[2] for x in pair)])
+
+
+_argv = st.one_of(
+    _command("enumerate",
+             [_choice(["nc", "interval", "kr-interval", "rainbow"]), _ints(6)],
+             _options(budget_override=_budgets, out=_outs, format=_choice(["json"]))),
+    _command("polynomial",
+             [_choice([c.value for c in meanders.MeanderClass]), _ranges],
+             _options(budget_override=_budgets, out=_outs,
+                      format=_choice(["csv", "json"]))),
+    # series has no --budget-override: argparse rejects it
+    _command("series",
+             [_choice(["thin", "shallow-top", "semi"]),
+              st.one_of(_ints(12), st.sampled_from(["29", "65", "257", "100000"]))],
+             _options(out=_outs, format=_choice(["json"]), budget_override=_budgets)),
+    _command("verify", [st.just("bogus")], _options(budget_override=_budgets)),
+    # --samples is always given: the Monte Carlo trace has no budget yet
+    _command("simulate",
+             [_choice([m.value for m in matrix_models.Model]), _ints(3), _ints(2),
+              st.just("--samples"), _ints(4)],
+             _options(d=_d_lists, out=_outs, format=_choice(["json", "csv"]),
+                      seed=st.sampled_from(["0", "7", "-1", "x"]),
+                      second_map=_choice(["independent", "same", "conjugate"]))),
+    # no subcommand, or one without its arguments
+    st.lists(_choice(["enumerate", "polynomial", "series", "verify", "simulate"]),
+             max_size=2))
+
+
+@given(_argv)
+@example(["simulate", "gue-df", "2", "2", "--d", "8,1", "--samples", "2"])
+@example(["enumerate", "nc", "3", "--out", _OUT_MISSING])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+def test_every_argv_exits_0_to_3(tmp_path, argv):
+    # one directory for every example: a file written by one is overwritten
+    outs = {_OUT_FILE: str(tmp_path / "out.txt"),
+            _OUT_MISSING: str(tmp_path / "missing" / "x"), _OUT_DIR: str(tmp_path)}
+    argv = [outs.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:       # argparse rejects the argv
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 1, 2, 3), argv
+    if code in (2, 3):
+        assert "error:" in err.getvalue(), argv
 
 
 class TestThreads:

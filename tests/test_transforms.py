@@ -147,6 +147,44 @@ def _random_series(order, rng):
     return TruncSeries.from_function(order, poly)
 
 
+def _sparse_series(order, rng):
+    # about a third of the coefficients are zero, so the zero skips run
+    def poly(_):
+        if rng.random() < 1 / 3:
+            return ZERO
+        return LaurentPoly({(rng.randint(-1, 3), rng.randint(0, 3), rng.randint(0, 3)):
+                            rng.randint(-9, 9) for _ in range(3)})
+    return TruncSeries.from_function(order, poly)
+
+
+def _product(p, q):
+    """[X^n] of P Q for n = 0..len(p) - 1, from coefficient lists p, q."""
+    return [sum((p[i] * q[n - i] for i in range(n + 1)), ZERO) for n in range(len(p))]
+
+
+class TestRandomSeries:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_mul_is_the_truncated_product(self, seed):
+        rng = random.Random(seed)
+        order = 1 + seed
+        a, b = _sparse_series(order, rng), _sparse_series(order, rng)
+        want = _product([ZERO, *a.coefficients()], [ZERO, *b.coefficients()])
+        assert (a * b).coefficients() == tuple(want[1:])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_compose_is_the_sum_of_scaled_powers(self, seed):
+        # outer(inner) = sum_s c_s inner^s, each power a truncated product
+        rng = random.Random(100 + seed)
+        order = 1 + seed
+        outer, inner = _sparse_series(order, rng), _sparse_series(order, rng)
+        c, p = [ZERO, *outer.coefficients()], [ZERO, *inner.coefficients()]
+        want, power = [ZERO] * (order + 1), p
+        for s in range(1, order + 1):
+            want = [w + c[s] * x for w, x in zip(want, power)]
+            power = _product(power, p)
+        assert compose(outer, inner).coefficients() == tuple(want[1:])
+
+
 class TestTransforms:
     def test_boolean_geometric(self):
         m = boolean_transform(TruncSeries.x(10))
