@@ -38,9 +38,7 @@ from .transforms import (
     TruncSeries,
     boolean_inverse,
     boolean_transform,
-    coefficient,
     compose,
-    evaluate,
     free_inverse,
     free_transform,
     last_block_sum,

@@ -12,7 +12,12 @@ Subcommands:
   of dimensions.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 resource limit exceeded.  All output is deterministic given the
+3 resource limit exceeded.  Commands raise ``_UsageError`` or
+``meanders.ResourceLimitError``; ``main`` alone maps them to exit codes
+2 and 3 with one ``error:`` line.  Every command checks its arguments
+and all its budgets, then opens ``--out``, then does the work, so an
+unwritable ``--out`` exits 2 before any work and an exit 3 leaves an
+existing ``--out`` file untouched.  All output is deterministic given the
 arguments (and seed); warnings go to stderr so stdout stays stable.
 The MEANDER_THREADS environment variable caps the worker threads of
 every pair scan (loop polynomials, generating and cumulant coefficients,
@@ -36,19 +41,23 @@ EXIT_RESOURCE = 3
 
 ENUM_BUDGETS = {"nc": 14, "interval": 16, "kr-interval": 16, "rainbow": 4096}
 # Largest ORDER of ``series``.  At these orders thin and semi take about
-# 2-3 s and 100-120 MB, shallow-top about 6 s and 50 MB (2 cores).
+# 2 s and 100-120 MB, shallow-top about 5-6 s and 50 MB (2 cores).
 SERIES_BUDGETS = {"thin": 64, "shallow-top": 28, "semi": 256}
 
 
+class _UsageError(Exception):
+    """A bad argument found after parsing; main prints it and exits 2."""
+
+
 def _parse_range(text: str) -> tuple[int, int]:
-    """N or LO..HI with 1 <= LO <= HI; ValueError otherwise."""
+    """N or LO..HI with 1 <= LO <= HI; _UsageError otherwise."""
     lo, dots, hi = text.partition("..")
     try:
         bounds = int(lo), int(hi if dots else lo)
     except ValueError:
         bounds = 0, 0
     if not 1 <= bounds[0] <= bounds[1]:
-        raise ValueError(f"range must be N or LO..HI with 1 <= LO <= HI, got {text!r}")
+        raise _UsageError(f"range must be N or LO..HI with 1 <= LO <= HI, got {text!r}")
     return bounds
 
 
@@ -63,16 +72,13 @@ def _budget(text: str) -> int:
     return value
 
 
-class _UsageError(Exception):
-    """A bad argument found after parsing; main prints it and exits 2."""
-
-
 @contextlib.contextmanager
 def _output(path: str | None) -> Iterator[TextIO]:
     """stdout, or the file at path opened for writing and closed on exit.
 
-    Each command enters it after its last budget check, so a command that
-    exits 3 leaves an existing file at path as it was."""
+    Each command enters it after all its budget checks and before any
+    work, so a command that exits 3 leaves an existing file at path as it
+    was, and one that cannot open path exits 2 without doing the work."""
     if path is None:
         yield sys.stdout
         return
@@ -86,17 +92,12 @@ def _output(path: str | None) -> Iterator[TextIO]:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
+    if n < 1:
+        raise _UsageError("n must be >= 1")
     budget = args.budget_override
     if budget is None:
         budget = ENUM_BUDGETS[args.kind]
-    else:
-        print(f"warning: budget override {args.budget_override}", file=sys.stderr)
-    if n < 1:
-        print(f"error: n must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if n > budget:
-        print(f"error: n={n} exceeds enumeration budget {budget}", file=sys.stderr)
-        return EXIT_RESOURCE
+    meanders._check_cap(f"{args.kind} enumeration", n, budget)
     with _output(args.out) as out:
         count = 0
         if args.kind == "nc":
@@ -115,30 +116,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_polynomial(args: argparse.Namespace) -> int:
-    try:
-        lo, hi = _parse_range(args.range)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    lo, hi = _parse_range(args.range)
     klass = meanders.MeanderClass(args.klass)
-    if args.budget_override is not None:
-        print(f"warning: budget override {args.budget_override}", file=sys.stderr)
-    polys = []
-    for n in range(lo, hi + 1):
-        try:
-            polys.append(meanders.meander_polynomial(
-                klass, n, budget=args.budget_override))
-        except meanders.ResourceLimitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
+    meanders._check_budget(klass, hi, args.budget_override)
     with _output(args.out) as out:
-        if args.format == "json":
-            for poly in polys:
-                out.write(json.dumps(poly.to_json()) + "\n")
-        else:
+        if args.format == "csv":
             out.write("n,k,count\n")
-            for poly in polys:
-                for n, k, count in poly.csv_rows():
+        for n in range(lo, hi + 1):
+            poly = meanders.meander_polynomial(klass, n, budget=args.budget_override)
+            if args.format == "json":
+                out.write(json.dumps(poly.to_json()) + "\n")
+            else:
+                for _, k, count in poly.csv_rows():
                     out.write(f"{n},{k},{count}\n")
     return EXIT_OK
 
@@ -146,13 +135,8 @@ def cmd_polynomial(args: argparse.Namespace) -> int:
 def cmd_series(args: argparse.Namespace) -> int:
     order = args.order
     if order < 1:
-        print("error: order must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    budget = SERIES_BUDGETS[args.which]
-    if order > budget:
-        print(f"error: order={order} exceeds {args.which} series budget {budget}",
-              file=sys.stderr)
-        return EXIT_RESOURCE
+        raise _UsageError("order must be >= 1")
+    meanders._check_cap(f"{args.which} series", order, SERIES_BUDGETS[args.which])
     with _output(args.out) as out:
         if args.which == "thin":
             series = transforms.thin_series(order)[0]
@@ -182,13 +166,7 @@ def _write_series(out, which: str, series: transforms.TruncSeries) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.budget_override is not None:
-        print(f"warning: budget override {args.budget_override}", file=sys.stderr)
-    try:
-        results = verify.run_suite(args.suite, budget=args.budget_override)
-    except meanders.ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    results = verify.run_suite(args.suite, budget=args.budget_override)
     failures = 0
     for name, ok, detail in results:
         tag = "PASS" if ok else "FAIL"
@@ -203,8 +181,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         d_values = [int(x) for x in args.d.split(",")] if args.d else [8]
     except ValueError:
-        print(f"error: bad --d list {args.d!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"bad --d list {args.d!r}") from None
     try:
         # one spec per dimension, so that every d is checked before any work
         specs = [matrix_models.ModelSpec(
@@ -212,24 +189,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             samples=args.samples, seed=args.seed,
             second_map=args.second_map) for d in d_values]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        reports = matrix_models.estimate_sweep(specs[0], d_values)
-    except meanders.ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        raise _UsageError(str(exc)) from None
+    klass = matrix_models.target_class(model)
+    if klass is not None:
+        meanders._check_budget(klass, args.n, None)
     with _output(args.out) as out:
         if args.format == "csv":
             out.write("model,n,l,d,samples,seed,mean,stderr,exact_target\n")
-            for r in reports:
-                doc = r.to_json()
+        for spec in specs:
+            doc = matrix_models.estimate(spec).to_json()
+            if args.format == "csv":
                 out.write(",".join(str(doc[k]) for k in
                                    ("model", "n", "l", "d", "samples", "seed",
                                     "mean", "stderr", "exact_target")) + "\n")
-        else:
-            for r in reports:
-                out.write(json.dumps(r.to_json()) + "\n")
+            else:
+                out.write(json.dumps(doc) + "\n")
     return EXIT_OK
 
 
@@ -285,13 +259,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only place that maps errors to exit codes."""
+    args = build_parser().parse_args(argv)
+    if getattr(args, "budget_override", None) is not None:
+        print(f"warning: budget override {args.budget_override}", file=sys.stderr)
     try:
         return args.fn(args)
-    except _UsageError as exc:
+    except (_UsageError, meanders.ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE if isinstance(exc, _UsageError) else EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -67,11 +67,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.n < 1 or self.l < 1:
             raise ValueError("n and l must be positive")
-        if self.model is not Model.THIN:
-            if self.d < 2:
-                raise ValueError("d must be >= 2")
-            if self.samples < 1:
-                raise ValueError("samples must be >= 1")
+        if self.d < 2:
+            raise ValueError("d must be >= 2")
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
         if self.second_map not in ("independent", "same", "conjugate"):
             raise ValueError(f"unknown second_map {self.second_map!r}")
 
@@ -404,11 +403,18 @@ _STATS = {
 }
 
 
-def exact_target(model: Model, n: int, l: int) -> int:
+def target_class(model: Model) -> MeanderClass | None:
+    """The class whose meander polynomial is the model's exact target, or
+    None for the thin model, whose target comes from ``thin_exact``."""
     if model is Model.THIN:
+        return None
+    return MeanderClass.SHALLOW_TOP if model is Model.SHALLOW_TOP else MeanderClass.FULL
+
+
+def exact_target(model: Model, n: int, l: int) -> int:
+    klass = target_class(model)
+    if klass is None:
         return thin_exact(n, l)
-    klass = (MeanderClass.SHALLOW_TOP if model is Model.SHALLOW_TOP
-             else MeanderClass.FULL)
     return meander_polynomial(klass, n).evaluate(l)
 
 

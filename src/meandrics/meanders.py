@@ -63,13 +63,17 @@ DEFAULT_BUDGETS: dict[MeanderClass, int] = {
 }
 
 
+def _check_cap(what: str, n: int, cap: int) -> None:
+    """The one budget check: ResourceLimitError if n exceeds cap."""
+    if n > cap:
+        raise ResourceLimitError(f"{what} at n={n} exceeds budget {cap}")
+
+
 def _check_budget(klass: MeanderClass, n: int, budget: int | None) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
-    cap = DEFAULT_BUDGETS[klass] if budget is None else budget
-    if n > cap:
-        raise ResourceLimitError(
-            f"{klass.value} enumeration at n={n} exceeds budget {cap}")
+    _check_cap(f"{klass.value} enumeration", n,
+               DEFAULT_BUDGETS[klass] if budget is None else budget)
 
 
 @dataclass(frozen=True)

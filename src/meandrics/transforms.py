@@ -547,14 +547,6 @@ def _assert_polynomial(s: TruncSeries) -> None:
             raise AssertionError(f"negative exponent leaked into coefficient {n}")
 
 
-def coefficient(series: TruncSeries, n: int) -> LaurentPoly:
-    return series.coefficient(n)
-
-
-def evaluate(poly: LaurentPoly, yv: Scalar, av: Scalar, bv: Scalar) -> Scalar:
-    return poly.evaluate(yv, av, bv)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ seeded with fixed constants so repeated runs print identical reports.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -408,29 +409,24 @@ def check_transform_round_trips(order: int = 12, trials: int = 8) -> CheckResult
     return name, True, f"{trials} random series, exact to order {order}"
 
 
-_profile_cache: dict[tuple[str, int], dict[tuple, int]] = {}
-
-
+@lru_cache(maxsize=None)
 def _size_profiles(kind: str, n: int) -> dict[tuple, int]:
     """Multiplicities of block-size profiles over Int(n) or NC(n); for
     kind 'nc-last' the profile is (|block of n|, sorted other sizes)."""
-    key = (kind, n)
-    if key not in _profile_cache:
-        profiles: dict[tuple, int] = {}
-        if kind == "interval":
-            parts = partitions.enumerate_interval(n)
+    profiles: dict[tuple, int] = {}
+    if kind == "interval":
+        parts = partitions.enumerate_interval(n)
+    else:
+        parts = partitions.enumerate_nc(n)
+    for p in parts:
+        if kind == "nc-last":
+            last = len(p.block_containing(n - 1))
+            rest = tuple(sorted(len(b) for b in p.blocks if n - 1 not in b))
+            prof: tuple = (last, rest)
         else:
-            parts = partitions.enumerate_nc(n)
-        for p in parts:
-            if kind == "nc-last":
-                last = len(p.block_containing(n - 1))
-                rest = tuple(sorted(len(b) for b in p.blocks if n - 1 not in b))
-                prof: tuple = (last, rest)
-            else:
-                prof = tuple(sorted(len(b) for b in p.blocks))
-            profiles[prof] = profiles.get(prof, 0) + 1
-        _profile_cache[key] = profiles
-    return _profile_cache[key]
+            prof = tuple(sorted(len(b) for b in p.blocks))
+        profiles[prof] = profiles.get(prof, 0) + 1
+    return profiles
 
 
 def check_moment_cumulant_oracle(order: int = 10, trials: int = 4) -> CheckResult:

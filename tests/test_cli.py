@@ -6,13 +6,33 @@ import os
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from meandrics import cli, matrix_models, meanders, transforms
+from meandrics import cli, matrix_models, meanders, partitions, transforms
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The functions each command with --out does its work in.
+_WORK = {
+    "enumerate": [(partitions, "enumerate_nc"), (partitions, "enumerate_interval"),
+                  (partitions, "enumerate_kr_interval"), (meanders, "rainbow")],
+    "polynomial": [(meanders, "meander_polynomial")],
+    "series": [(transforms, "thin_series"), (transforms, "shallow_top_series"),
+               (transforms, "semi_meander_series")],
+    "simulate": [(matrix_models, "estimate"), (matrix_models, "estimate_sweep"),
+                 (matrix_models, "exact_target")],
+}
+
+
+def refuse_work(monkeypatch, command):
+    """Make every work function of command fail the test if called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} did work before its checks")
+    for module, attr in _WORK[command]:
+        monkeypatch.setattr(module, attr, refuse)
 
 
 class TestEnumerate:
@@ -133,10 +153,7 @@ class TestSeries:
         ("thin", "800"), ("thin", "65"), ("shallow-top", "29"), ("semi", "257")])
     def test_over_budget_exits_3_before_any_work(self, capsys, monkeypatch,
                                                  which, order):
-        def refuse(order):
-            raise AssertionError("series built past its budget")
-        for attr in ("thin_series", "shallow_top_series", "semi_meander_series"):
-            monkeypatch.setattr(cli.transforms, attr, refuse)
+        refuse_work(monkeypatch, "series")
         code, out, err = run(capsys, "series", which, order)
         assert code == 3
         assert out == ""
@@ -208,12 +225,14 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "nc-nc", "0", "2")
         assert code == 2
 
-    @pytest.mark.parametrize("d", ["8,1", "1,8", "4,8,0,16"])
-    def test_every_d_checked_before_any_work(self, capsys, monkeypatch, d):
-        def refuse(*args):
-            raise AssertionError("estimate ran before every d was checked")
-        monkeypatch.setattr(cli.matrix_models, "estimate_sweep", refuse)
-        code, out, err = run(capsys, "simulate", "gue-df", "2", "2",
+    @pytest.mark.parametrize("model,d", [
+        pytest.param("gue-df", "8,1", id="8,1"),
+        pytest.param("gue-df", "1,8", id="1,8"),
+        pytest.param("gue-df", "4,8,0,16", id="4,8,0,16"),
+        pytest.param("thin", "8,1", id="thin-8,1")])
+    def test_every_d_checked_before_any_work(self, capsys, monkeypatch, model, d):
+        refuse_work(monkeypatch, "simulate")
+        code, out, err = run(capsys, "simulate", model, "2", "2",
                              "--d", d, "--samples", "2")
         lines = err.splitlines()
         assert code == 2 and out == ""
@@ -256,11 +275,34 @@ class TestOut:
         assert code == 2 and out == ""
         assert len(lines) == 1 and lines[0].startswith("error:")
 
-    def test_series_over_budget_exits_3_before_opening_out(self, capsys, tmp_path):
-        path = tmp_path / "s.json"
-        code, out, err = run(capsys, "series", "thin", "65", "--out", str(path))
-        assert code == 3 and out == "" and err.startswith("error:")
-        assert not path.exists()
+    @pytest.mark.parametrize("argv", [("enumerate", "nc", "3"),
+                                      ("polynomial", "full", "8"),
+                                      ("series", "thin", "3"),
+                                      ("simulate", "nc-nc", "2", "2", "--samples", "2")],
+                             ids=lambda argv: argv[0])
+    def test_unwritable_out_exits_2_before_any_work(self, capsys, monkeypatch,
+                                                    tmp_path, argv):
+        refuse_work(monkeypatch, argv[0])
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "x"))
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("argv", [("series", "thin", "65"),
+                                      ("enumerate", "nc", "20"),
+                                      ("polynomial", "full", "10"),
+                                      ("simulate", "nc-nc", "10", "2")],
+                             ids=lambda argv: argv[0])
+    def test_over_budget_exits_3_before_opening_out(self, capsys, monkeypatch,
+                                                    tmp_path, argv):
+        refuse_work(monkeypatch, argv[0])
+        path = tmp_path / "kept.txt"
+        path.write_bytes(b"written before\n")
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        lines = err.splitlines()
+        assert code == 3 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert path.read_bytes() == b"written before\n"
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,11 @@ class TestEstimate:
             ModelSpec(Model.NC_NC, 0, 2, 4, 10, SEED)
         with pytest.raises(ValueError):
             ModelSpec(Model.NC_NC, 1, 2, 4, 10, SEED, second_map="bogus")
+        # the thin model checks d and samples like every other model
+        with pytest.raises(ValueError):
+            ModelSpec(Model.THIN, 2, 2, -1, 10, SEED)
+        with pytest.raises(ValueError):
+            ModelSpec(Model.THIN, 2, 2, 8, -5, SEED)
 
     def test_second_map_variants(self):
         # the replacement remark: same-G and conjugate-G limits agree with

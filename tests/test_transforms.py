@@ -19,9 +19,7 @@ from meandrics.transforms import (
     ZERO,
     boolean_inverse,
     boolean_transform,
-    coefficient,
     compose,
-    evaluate,
     free_inverse,
     free_transform,
     last_block_sum,
@@ -333,16 +331,16 @@ class TestSemiSeries:
 class TestCoefficientEvaluate:
     def test_coefficient(self):
         m, _ = thin_series(5)
-        assert coefficient(m, 1) == ONE
+        assert m.coefficient(1) == ONE
         with pytest.raises(IndexError):
-            coefficient(m, 6)
+            m.coefficient(6)
 
     def test_evaluate_known_values(self):
         m, _ = thin_series(3)
-        assert evaluate(m.coefficient(3), 1, 1, 1) == 16
+        assert m.coefficient(3).evaluate(1, 1, 1) == 16
         s = semi_meander_series(4)
         for y in (1, 2, Fraction(1, 3)):
-            assert evaluate(s.coefficient(2), y, 1, 9) == y + 1
+            assert s.coefficient(2).evaluate(y, 1, 9) == y + 1
 
     def test_series_json(self):
         doc = series_to_json(semi_meander_series(2))
