@@ -190,9 +190,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             second_map=args.second_map) for d in d_values]
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    klass = matrix_models.target_class(model)
-    if klass is not None:
-        meanders._check_budget(klass, args.n, None)
+    matrix_models.check_target_budget(model, args.n, args.l)
     with _output(args.out) as out:
         if args.format == "csv":
             out.write("model,n,l,d,samples,seed,mean,stderr,exact_target\n")

@@ -35,11 +35,12 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .meanders import MeanderClass, meander_polynomial
+from .meanders import MeanderClass, _check_budget, _check_cap, meander_polynomial
 
 logger = logging.getLogger(__name__)
 
@@ -258,17 +259,40 @@ def z_thin(l: int) -> np.ndarray:
     return z
 
 
+# The cost of thin_exact, measured on 2 cores: each of the n - 1 steps is
+# one object matrix-vector product of l^4 multiply-adds at about 24 ns
+# each, Z alone holds l^4 object pointers, and for small l the per-step
+# overhead and the growing integers dominate.  At each l's largest
+# allowed n a call takes at most 1.2 s (l = 8, n = 4096) and peaks at
+# most at 160 MB (l = 64, n = 1).
+THIN_EXACT_PRODUCTS = 2 ** 24
+THIN_EXACT_STEPS = 4096
+
+
+def thin_exact_budget(l: int) -> int:
+    """Largest n for which ``thin_exact(n, l)`` is within budget: n l^4
+    multiply-adds at most THIN_EXACT_PRODUCTS, and n at most
+    THIN_EXACT_STEPS.  0 when even Z is over budget."""
+    return min(THIN_EXACT_STEPS, THIN_EXACT_PRODUCTS // l ** 4)
+
+
+@lru_cache(maxsize=None)
 def thin_exact(n: int, l: int) -> int:
-    """Tr[omega_l Z^(n-1)] by exact integer matrix powers; asserted equal
-    to the closed form l (2 + 2l)^(n-1)."""
+    """Tr[omega_l Z^(n-1)] = u^T Z^(n-1) u for u the indicator of the
+    diagonal indices i l + i, by n - 1 exact integer matrix-vector
+    products; asserted equal to the closed form l (2 + 2l)^(n-1).
+    ResourceLimitError above ``thin_exact_budget(l)``."""
     if n < 1 or l < 1:
         raise ValueError("n and l must be positive")
+    check_target_budget(Model.THIN, n, l)
     z = z_thin(l)
-    power = np.eye(l * l, dtype=object)
+    diag = np.arange(l) * l + np.arange(l)
+    u = np.zeros(l * l, dtype=object)
+    u[diag] = 1
+    v = u
     for _ in range(n - 1):
-        power = power @ z
-    diag = [i * l + i for i in range(l)]
-    value = sum(int(power[p, q]) for p in diag for q in diag)
+        v = z @ v
+    value = int(u @ v)
     closed = l * (2 + 2 * l) ** (n - 1)
     if value != closed:
         raise AssertionError(f"thin model mismatch at n={n}, l={l}: "
@@ -409,6 +433,17 @@ def target_class(model: Model) -> MeanderClass | None:
     if model is Model.THIN:
         return None
     return MeanderClass.SHALLOW_TOP if model is Model.SHALLOW_TOP else MeanderClass.FULL
+
+
+def check_target_budget(model: Model, n: int, l: int) -> None:
+    """ResourceLimitError when the model's exact target at (n, l) is over
+    its budget: the class scan's for a sampled model, thin_exact's for
+    the thin one."""
+    klass = target_class(model)
+    if klass is None:
+        _check_cap(f"thin exact target for l={l}", n, thin_exact_budget(l))
+    else:
+        _check_budget(klass, n, None)
 
 
 def exact_target(model: Model, n: int, l: int) -> int:

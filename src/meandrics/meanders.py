@@ -12,6 +12,22 @@ whose cycles are counted directly.  Chunks of the scan may be spread
 over a thread pool capped by the MEANDER_THREADS environment variable;
 partial histograms are merged by integer addition, so the result does
 not depend on the split.
+
+A class scan takes one top partition per symmetry orbit.  Rotating both
+partitions of a pair (alpha -> gamma alpha gamma~ for the full cycle
+gamma) or reflecting both (alpha -> r alpha~ r for r(i) = n-1-i) leaves
+#cycles(alpha~ beta), ||alpha|| and ||beta|| unchanged, since the new
+product is conjugate to alpha~ beta or to its inverse.  So when the
+bottom side is closed under such a group, every top partition in one
+orbit meets the bottom side in the same histogram, and the scan counts
+each representative's pairs once per member of its orbit.  The group is
+derived from the two sides: reflection for every class (NC(n), Int(n)
+and the rainbow are closed under it), rotation as well only when both
+sides are closed under it, which is the full class alone.  A side that
+is not closed under reflection is refused, not scanned.  The pairs that
+remain are still composed and counted one by one;
+``pairwise_cycle_counts`` keeps the plain, unreduced table that verify
+and the tests compare against.
 """
 
 from __future__ import annotations
@@ -19,6 +35,7 @@ from __future__ import annotations
 import enum
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,6 +197,73 @@ def _geodesic_rows(parts: Iterable[NcPartition | CombSubset]) -> tuple[np.ndarra
     return np.array(images, dtype=np.int16), np.array(nblocks, dtype=np.int64)
 
 
+def _inverse(imgs: np.ndarray) -> np.ndarray:
+    """Row-wise inverses of an (M, n) one-line array."""
+    m, n = imgs.shape
+    inv = np.empty_like(imgs)
+    inv[np.arange(m)[:, None], imgs] = np.arange(n, dtype=imgs.dtype)
+    return inv
+
+
+def _partition_keys(imgs: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """One int64 per geodesic row: bit i is set when i is not the largest
+    element of its block, bit n + i when i is the smallest.  These are
+    the two ends of each arch of the partition's non-crossing matching on
+    2n points, which they determine, so equal keys mean equal partitions.
+    The 64 bits hold n <= 32; a class scan at n = 33 would enumerate
+    at least 2^32 top partitions."""
+    m, n = imgs.shape
+    points = np.arange(n)
+    bits = np.zeros((m, 64), dtype=bool)
+    bits[:, :n] = imgs > points
+    bits[:, n:2 * n] = inv >= points
+    return np.packbits(bits, axis=1, bitorder="little").view("<i8")[:, 0]
+
+
+def _generator_moves(imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Partition keys of the rows, and a (2, M) array holding the row
+    index of each row's rotation gamma P gamma~ (first line) and
+    reflection r P~ r (second line), or -1 where that image is not a row
+    of the side."""
+    n = imgs.shape[1]
+    inv = _inverse(imgs)
+    keys = _partition_keys(imgs, inv)
+    images = np.stack([
+        _partition_keys(*((np.roll(x, 1, axis=1) + 1) % n for x in (imgs, inv))),
+        _partition_keys(n - 1 - inv[:, ::-1], n - 1 - imgs[:, ::-1])])
+    order = np.argsort(keys)
+    rows = order[np.searchsorted(keys, images, sorter=order).clip(max=len(keys) - 1)]
+    rows[keys[rows] != images] = -1
+    return keys, rows
+
+
+def _orbits(a_imgs: np.ndarray, b_imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of one A row per orbit of the symmetry group of the pair
+    of sides, and each orbit's size.
+
+    The group is the dihedral group when both sides are closed under
+    rotation, else the reflection alone; a side not closed under
+    reflection raises ValueError.  A row represents its orbit when its
+    own key is the smallest key over its 2n (or 2) images, which are
+    found by following each generator from row to row."""
+    n = a_imgs.shape[1]
+    keys, moves = _generator_moves(a_imgs)
+    _, b_moves = _generator_moves(b_imgs)
+    rotate, reflect = (moves >= 0).all(axis=1) & (b_moves >= 0).all(axis=1)
+    if not reflect:
+        raise ValueError("a side of the scan is not closed under reflection")
+    images = []
+    for rows in (np.arange(len(keys)), moves[1]):
+        for _ in range(n if rotate else 1):
+            images.append(keys[rows])
+            rows = moves[0][rows]
+    images = np.stack(images)
+    reps = np.nonzero(images[0] == images.min(axis=0))[0]
+    ordered = np.sort(images[:, reps], axis=0)
+    sizes = 1 + np.count_nonzero(np.diff(ordered, axis=0), axis=0)
+    return reps, sizes
+
+
 def _cycle_counts(perms: np.ndarray) -> np.ndarray:
     """Cycle counts of each row of an (M, n) one-line array."""
     m, n = perms.shape
@@ -206,8 +290,7 @@ def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
     #cycles(alpha~ beta) for its pairs, A-major.  Chunks are mapped over
     up to MEANDER_THREADS worker threads."""
     ma, n = a_imgs.shape
-    inv = np.empty_like(a_imgs)
-    inv[np.arange(ma)[:, None], a_imgs] = np.arange(n, dtype=a_imgs.dtype)
+    inv = _inverse(a_imgs)
     mb = b_imgs.shape[0]
     chunk = max(1, 4_000_000 // max(1, mb * n))
 
@@ -276,11 +359,21 @@ def _class_sides(klass: MeanderClass, n: int):
 
 @lru_cache(maxsize=None)
 def _pair_histogram(klass: MeanderClass, n: int) -> Mapping[tuple[int, int, int], int]:
-    """{(loops, ||alpha||, ||beta||): count} over all class pairs."""
+    """{(loops, ||alpha||, ||beta||): count} over all class pairs.
+
+    Scans one A row per symmetry orbit against all of B, one orbit size
+    at a time, and counts each pair once per member of the orbit."""
     side_a, side_b = _class_sides(klass, n)
     a_imgs, a_blocks = _geodesic_rows(side_a)
     b_imgs, b_blocks = _geodesic_rows(side_b)
-    return _pair_scan(a_imgs, n - a_blocks, b_imgs, n - b_blocks, n)
+    reps, sizes = _orbits(a_imgs, b_imgs)
+    hist: Counter[tuple[int, int, int]] = Counter()
+    for size in sorted(set(sizes.tolist())):
+        rows = reps[sizes == size]
+        scan = _pair_scan(a_imgs[rows], n - a_blocks[rows], b_imgs, n - b_blocks, n)
+        for key, count in scan.items():
+            hist[key] += size * count
+    return dict(sorted(hist.items()))
 
 
 def meander_polynomial(klass: MeanderClass, n: int,

@@ -238,6 +238,27 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.parametrize("n,l", [("4097", "1"), ("257", "16"), ("1", "65")])
+    def test_thin_over_budget_exits_3_before_any_work(self, capsys, monkeypatch, n, l):
+        refuse_work(monkeypatch, "simulate")
+        code, out, err = run(capsys, "simulate", "thin", n, l)
+        lines = err.splitlines()
+        assert code == 3 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert f"thin exact target for l={l} at n={n} exceeds budget" in lines[0]
+
+    def test_thin_target_computed_once_for_every_d(self, capsys, monkeypatch):
+        built = []
+        z_thin = matrix_models.z_thin
+        monkeypatch.setattr(matrix_models, "z_thin",
+                            lambda l: built.append(l) or z_thin(l))
+        matrix_models.thin_exact.cache_clear()
+        code, out, _ = run(capsys, "simulate", "thin", "5", "7", "--d", "8,16,32")
+        matrix_models.thin_exact.cache_clear()
+        assert code == 0 and built == [7]
+        assert [json.loads(line)["exact_target"] for line in out.splitlines()] == \
+            [7 * 16 ** 4] * 3
+
 
 class TestUsage:
     def test_missing_command(self):

@@ -21,6 +21,7 @@ from meandrics.matrix_models import (
     sample_gue,
     sample_stream,
     thin_exact,
+    thin_exact_budget,
     z_nc_nc,
     z_shallow_top,
     z_thin,
@@ -31,7 +32,7 @@ from meandrics.matrix_models import (
     _stats_shallow_top,
     _stats_wishart,
 )
-from meandrics.meanders import MeanderClass, meander_polynomial
+from meandrics.meanders import MeanderClass, ResourceLimitError, meander_polynomial
 
 SEED = 20240809
 
@@ -165,6 +166,24 @@ class TestThinExact:
             poly = meander_polynomial(MeanderClass.THIN, n)
             for l in (1, 2, 3):
                 assert thin_exact(n, l) == poly.evaluate(l)
+
+    def test_matches_matrix_power(self):
+        # Tr[omega_l Z^(n-1)] read off the full matrix power
+        for l in (1, 2, 3):
+            z = z_thin(l)
+            power = np.eye(l * l, dtype=object)
+            diag = [i * l + i for i in range(l)]
+            for n in range(1, 8):
+                assert thin_exact(n, l) == sum(power[p, q] for p in diag for q in diag)
+                power = power @ z
+
+    def test_budget(self):
+        assert [thin_exact_budget(l) for l in (1, 8, 9, 16, 64, 65)] == \
+            [4096, 4096, 2557, 256, 1, 0]
+        assert thin_exact(4096, 1) == 4 ** 4095
+        for n, l in ((4097, 1), (257, 16), (1, 65)):
+            with pytest.raises(ResourceLimitError, match=f"l={l} at n={n}"):
+                thin_exact(n, l)
 
 
 class TestFactorizedAgainstExplicit:

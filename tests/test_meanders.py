@@ -1,6 +1,8 @@
 import itertools
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from meandrics.meanders import (
@@ -20,7 +22,13 @@ from meandrics.meanders import (
     semi_loop_distribution,
     thin_count,
 )
-from meandrics.meanders import _geodesic_rows, _pair_scan
+from meandrics.meanders import (
+    _class_sides,
+    _geodesic_rows,
+    _orbits,
+    _pair_histogram,
+    _pair_scan,
+)
 from meandrics.partitions import (
     CombSubset,
     NcPartition,
@@ -291,17 +299,99 @@ class TestClosedCounts:
                 assert by_adeg.get(n - m, 0) == shallow_top_meander_count(n, m)
 
 
+class TestOrbitReduction:
+    """The class scans take one A row per symmetry orbit; every count must
+    equal the plain pair-by-pair table."""
+
+    @staticmethod
+    def plain_histogram(klass, n):
+        side_a, side_b = _class_sides(klass, n)
+        a_imgs, a_blocks = _geodesic_rows(side_a)
+        b_imgs, b_blocks = _geodesic_rows(side_b)
+        loops = pairwise_cycle_counts(a_imgs, b_imgs)
+        a_norm = np.broadcast_to((n - a_blocks)[:, None], loops.shape)
+        b_norm = np.broadcast_to((n - b_blocks)[None, :], loops.shape)
+        return dict(Counter(zip(loops.ravel().tolist(), a_norm.ravel().tolist(),
+                                b_norm.ravel().tolist())))
+
+    @pytest.mark.parametrize("klass, n_max", [(MeanderClass.FULL, 8),
+                                              (MeanderClass.SHALLOW_TOP, 9),
+                                              (MeanderClass.THIN, 12),
+                                              (MeanderClass.SEMI, 16)],
+                             ids=lambda v: getattr(v, "value", v))
+    def test_reduced_equals_plain(self, klass, n_max):
+        for n in range(1, n_max + 1):
+            _pair_histogram.cache_clear()
+            assert _pair_histogram(klass, n) == self.plain_histogram(klass, n), n
+        _pair_histogram.cache_clear()
+
+    def test_full_orbit_counts(self):
+        # dihedral orbits of NC(n)
+        want = [1, 2, 3, 6, 10, 24, 49, 130, 336, 980]
+        for n, count in enumerate(want, 1):
+            imgs, _ = _geodesic_rows(enumerate_nc(n))
+            reps, sizes = _orbits(imgs, imgs)
+            assert len(reps) == len(sizes) == count
+            assert sizes.sum() == catalan(n)
+            assert all((2 * n) % int(s) == 0 for s in sizes)
+
+    @pytest.mark.parametrize("klass", list(MeanderClass), ids=lambda k: k.value)
+    def test_orbit_sizes_sum_to_side(self, klass):
+        for n in range(1, 11):
+            side_a, side_b = _class_sides(klass, n)
+            a_imgs, _ = _geodesic_rows(side_a)
+            b_imgs, _ = _geodesic_rows(side_b)
+            reps, sizes = _orbits(a_imgs, b_imgs)
+            assert sizes.sum() == len(side_a), n
+            assert len(set(reps.tolist())) == len(reps), n
+            if klass is not MeanderClass.FULL:
+                # reflection alone: Int(n) is not closed under rotation
+                assert set(sizes.tolist()) <= {1, 2}, n
+
+    def test_side_not_closed_under_reflection_raises(self):
+        a_imgs, _ = _geodesic_rows(enumerate_interval(4))
+        lopsided = NcPartition.from_one_based(4, [[1, 2], [3], [4]])
+        b_imgs, _ = _geodesic_rows([lopsided])
+        with pytest.raises(ValueError):
+            _orbits(a_imgs, b_imgs)
+        with pytest.raises(ValueError):
+            _orbits(b_imgs, a_imgs)
+
+    def test_full_n9_meander_numbers(self):
+        # one-loop coefficients: the meander numbers (OEIS A005315)
+        meanders = [1, 2, 8, 42, 262, 1828, 13820, 110954, 933458]
+        for n, want in enumerate(meanders, 1):
+            poly = meander_polynomial(MeanderClass.FULL, n)
+            assert poly.coeffs[1] == want, n
+            assert poly.total() == catalan(n) ** 2, n
+
+
 class TestDeterminism:
     def test_thread_split_invariance(self, monkeypatch):
-        # full n=8 is 1430 x 1430 x 8 cells: five chunks, so two threads
-        # really split the scan
+        # the reduced full n=9 scan and the plain full n=8 table (1430 x
+        # 1430 x 8 cells, five chunks) both have more than one chunk, so
+        # two threads really split them
         from meandrics import meanders as mod
         imgs, _ = _geodesic_rows(enumerate_nc(8))
+        scan = mod._scan_pairs
+        chunks = []
+
+        def counted_scan(*args):
+            blocks = scan(*args)
+            chunks.append(len(blocks))
+            return blocks
+
+        monkeypatch.setattr(mod, "_scan_pairs", counted_scan)
 
         def run_both():
             mod._pair_histogram.cache_clear()
-            poly = generating_coefficient(MeanderClass.FULL, 8)
-            return poly, pairwise_cycle_counts(imgs, imgs)
+            chunks.clear()
+            poly = generating_coefficient(MeanderClass.FULL, 9)
+            assert max(chunks) > 1
+            chunks.clear()
+            table = pairwise_cycle_counts(imgs, imgs)
+            assert chunks == [5]
+            return poly, table
 
         monkeypatch.setattr(mod, "_threads", lambda: 1)
         serial_poly, serial_table = run_both()
