@@ -100,15 +100,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     meanders._check_cap(f"{args.kind} enumeration", n, budget)
     with _output(args.out) as out:
         count = 0
-        if args.kind == "nc":
-            stream = partitions.enumerate_nc(n)
-        elif args.kind == "interval":
-            stream = partitions.enumerate_interval(n)
-        elif args.kind == "kr-interval":
-            stream = (q.to_partition() for q in partitions.enumerate_kr_interval(n))
-        else:
-            stream = iter([meanders.rainbow(n)])
-        for part in stream:
+        for part in meanders.side_partitions(args.kind, n):
             out.write(json.dumps(partitions.partition_to_json(part)) + "\n")
             count += 1
         out.write(json.dumps({"count": count}) + "\n")
@@ -179,7 +171,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = matrix_models.Model(args.model)
     try:
-        d_values = [int(x) for x in args.d.split(",")] if args.d else [8]
+        d_values = [int(x) for x in args.d.split(",")]
     except ValueError:
         raise _UsageError(f"bad --d list {args.d!r}") from None
     try:
@@ -213,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="stream partitions as JSON lines")
-    p.add_argument("kind", choices=["nc", "interval", "kr-interval", "rainbow"])
+    p.add_argument("kind", choices=list(ENUM_BUDGETS))
     p.add_argument("n", type=int)
     p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--out", default=None)

@@ -6,6 +6,15 @@ four partition-class pairings exhaustively, producing loop polynomials
 and the trivariate generating coefficients, and provides executable
 forms of the combinatorial counting lemmas.
 
+It is the one place that knows what a side is.  ``side_partitions``
+names the four side kinds (NC(n), Int(n), Kr Int(n) as comb partitions,
+and the rainbow), and ``_side`` turns one (kind, n) into a table of
+read-only numpy rows, built once and shared by every scan: geodesic
+one-line images, block counts and the block of n (without n) as a
+bitmask.  Row i is the i-th partition that ``side_partitions`` (and so
+the ``enumerate`` command) yields.  The class and cumulant scans read
+both their sides from it through ``_CLASS_SIDES`` and ``_KR_SIDES``.
+
 The exhaustive pair scans are vectorized with numpy but remain honest
 brute force: every pair is materialized as a permutation composition
 whose cycles are counted directly.  Chunks of the scan may be spread
@@ -41,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -186,15 +195,51 @@ def _thread_count(raw: str | None) -> int:
     return want
 
 
-def _geodesic_rows(parts: Iterable[NcPartition | CombSubset]) -> tuple[np.ndarray, np.ndarray]:
+def _geodesic_rows(parts: Iterable[NcPartition]) -> tuple[np.ndarray, np.ndarray]:
     """One-line images and block counts for a family of partitions."""
     images = []
     nblocks = []
-    for p in parts:
-        part = p.to_partition() if isinstance(p, CombSubset) else p
+    for part in parts:
         images.append(part.to_geodesic().images)
         nblocks.append(part.block_count())
     return np.array(images, dtype=np.int16), np.array(nblocks, dtype=np.int64)
+
+
+def side_partitions(kind: str, n: int) -> Iterator[NcPartition]:
+    """The partitions of one side kind, in enumeration order: ``nc`` is
+    NC(n), ``interval`` Int(n), ``kr-interval`` Kr Int(n) as comb
+    partitions and ``rainbow`` the rainbow alone.  The enumerators are
+    looked up at each call, so a wrapper set on this module sees them."""
+    if kind == "nc":
+        return enumerate_nc(n)
+    if kind == "interval":
+        return enumerate_interval(n)
+    if kind == "kr-interval":
+        return (q.to_partition() for q in enumerate_kr_interval(n))
+    if kind == "rainbow":
+        return iter([rainbow(n)])
+    raise ValueError(f"unknown side kind {kind!r}")
+
+
+class Side(NamedTuple):
+    """Read-only rows of one side; row i is the i-th partition of
+    ``side_partitions``."""
+
+    imgs: np.ndarray    # (M, n) int16 geodesic one-line images
+    blocks: np.ndarray  # (M,) int64 block counts
+    masks: np.ndarray   # (M,) int64 bitmask of the block of n, without n
+
+
+@lru_cache(maxsize=None)
+def _side(kind: str, n: int) -> Side:
+    """The side table of (kind, n), built once and shared by every scan."""
+    parts = list(side_partitions(kind, n))
+    imgs, blocks = _geodesic_rows(parts)
+    masks = np.array([sum(1 << i for i in p.block_containing(n - 1) if i != n - 1)
+                      for p in parts], dtype=np.int64)
+    for arr in (imgs, blocks, masks):
+        arr.setflags(write=False)
+    return Side(imgs, blocks, masks)
 
 
 def _inverse(imgs: np.ndarray) -> np.ndarray:
@@ -345,16 +390,20 @@ def pairwise_cycle_counts(a_imgs: np.ndarray, b_imgs: np.ndarray) -> np.ndarray:
     return np.concatenate(blocks) if blocks else np.empty((0, mb), dtype=np.int64)
 
 
-def _class_sides(klass: MeanderClass, n: int):
-    if klass is MeanderClass.FULL:
-        return list(enumerate_nc(n)), list(enumerate_nc(n))
-    if klass is MeanderClass.SHALLOW_TOP:
-        return list(enumerate_interval(n)), list(enumerate_nc(n))
-    if klass is MeanderClass.THIN:
-        return list(enumerate_interval(n)), list(enumerate_interval(n))
-    if klass is MeanderClass.SEMI:
-        return list(enumerate_interval(n)), [rainbow(n)]
-    raise ValueError(f"unknown class {klass}")
+# (top, bottom) side kinds of each class scan
+_CLASS_SIDES: dict[MeanderClass, tuple[str, str]] = {
+    MeanderClass.FULL: ("nc", "nc"),
+    MeanderClass.SHALLOW_TOP: ("interval", "nc"),
+    MeanderClass.THIN: ("interval", "interval"),
+    MeanderClass.SEMI: ("interval", "rainbow"),
+}
+
+# (top, bottom) side kinds of each cumulant scan: Kr Int(n) against the
+# Kreweras complements of the bottom class, as a set (Kr NC(n) = NC(n)).
+_KR_SIDES: dict[MeanderClass, tuple[str, str]] = {
+    MeanderClass.SHALLOW_TOP: ("kr-interval", "nc"),
+    MeanderClass.THIN: ("kr-interval", "kr-interval"),
+}
 
 
 @lru_cache(maxsize=None)
@@ -363,14 +412,12 @@ def _pair_histogram(klass: MeanderClass, n: int) -> Mapping[tuple[int, int, int]
 
     Scans one A row per symmetry orbit against all of B, one orbit size
     at a time, and counts each pair once per member of the orbit."""
-    side_a, side_b = _class_sides(klass, n)
-    a_imgs, a_blocks = _geodesic_rows(side_a)
-    b_imgs, b_blocks = _geodesic_rows(side_b)
-    reps, sizes = _orbits(a_imgs, b_imgs)
+    a, b = (_side(kind, n) for kind in _CLASS_SIDES[klass])
+    reps, sizes = _orbits(a.imgs, b.imgs)
     hist: Counter[tuple[int, int, int]] = Counter()
     for size in sorted(set(sizes.tolist())):
         rows = reps[sizes == size]
-        scan = _pair_scan(a_imgs[rows], n - a_blocks[rows], b_imgs, n - b_blocks, n)
+        scan = _pair_scan(a.imgs[rows], n - a.blocks[rows], b.imgs, n - b.blocks, n)
         for key, count in scan.items():
             hist[key] += size * count
     return dict(sorted(hist.items()))
@@ -397,30 +444,19 @@ def generating_coefficient(klass: MeanderClass, n: int,
 
 @lru_cache(maxsize=None)
 def _kr_pair_histogram(klass: MeanderClass, n: int) -> Mapping[tuple[int, int, int], int]:
-    combs = list(enumerate_kr_interval(n))
-    a_imgs, a_blocks = _geodesic_rows(combs)
-    a_masks = np.array([sum(1 << i for i in q.q) for q in combs], dtype=np.int64)
-    if klass is MeanderClass.THIN:
-        b_parts: list[NcPartition] = [q.to_partition() for q in combs]
-        b_masks = a_masks.copy()
-    else:
-        b_parts = list(enumerate_nc(n))
-        b_masks = np.array(
-            [sum(1 << i for i in b.block_containing(n - 1) if i != n - 1)
-             for b in b_parts],
-            dtype=np.int64)
-    b_imgs, b_blocks = _geodesic_rows(b_parts)
+    a, b = (_side(kind, n) for kind in _KR_SIDES[klass])
     # Kr-side exponents: ||alpha~ 1_n|| = n - 1 - ||alpha|| = #blocks - 1,
-    # same for beta.
-    return _pair_scan(a_imgs, a_blocks - 1, b_imgs, b_blocks - 1, n,
-                      a_masks=a_masks, b_masks=b_masks)
+    # same for beta.  A comb's block-of-n mask is its Q, so the masks keep
+    # the pairs with trivial Kr-interval meet.
+    return _pair_scan(a.imgs, a.blocks - 1, b.imgs, b.blocks - 1, n,
+                      a_masks=a.masks, b_masks=b.masks)
 
 
 def cumulant_coefficient(klass: MeanderClass, n: int,
                          budget: int | None = None) -> LaurentPoly:
     """Sum over Kr Int(n) x Kr L(n) pairs with trivial Kr-interval meet of
     Y^||alpha~ beta|| A^||alpha~ 1_n|| B^||beta~ 1_n||."""
-    if klass not in (MeanderClass.THIN, MeanderClass.SHALLOW_TOP):
+    if klass not in _KR_SIDES:
         raise ValueError("cumulant coefficients exist for thin and "
                          "shallow-top classes only")
     _check_budget(klass, n, budget)

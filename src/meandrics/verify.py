@@ -122,7 +122,7 @@ def check_krint_combs(n_max: int = 8) -> CheckResult:
     name = "krint-equals-comb-partitions"
     total = 0
     for n in range(1, n_max + 1):
-        combs = {q.to_partition() for q in partitions.enumerate_kr_interval(n)}
+        combs = set(meanders.side_partitions("kr-interval", n))
         krs = {p.kreweras() for p in partitions.enumerate_interval(n)}
         if combs != krs:
             return name, False, f"n={n}: comb set differs from Kr(Int)"
@@ -203,19 +203,17 @@ def check_comb_loop_formula(n_max: int = 8) -> CheckResult:
     for n in range(1, n_max + 1):
         combs = list(partitions.enumerate_kr_interval(n))
         ncs = list(partitions.enumerate_nc(n))
-        a_imgs, _ = meanders._geodesic_rows(combs)
-        b_imgs, _ = meanders._geodesic_rows(ncs)
-        direct = meanders.pairwise_cycle_counts(a_imgs, b_imgs)
-        bn_sets = [frozenset(b.block_containing(n - 1)) for b in ncs]
-        for qi, q in enumerate(combs):
-            for bi, b in enumerate(ncs):
-                if q.q & bn_sets[bi]:
-                    continue
-                formula = meanders.loop_count_comb(q, b)
-                if formula != int(direct[qi, bi]):
-                    return name, False, (f"n={n}, Q={q!r}, beta={b!r}: "
-                                         f"{formula} != {int(direct[qi, bi])}")
-                checked += 1
+        comb_side, nc_side = meanders._side("kr-interval", n), meanders._side("nc", n)
+        direct = meanders.pairwise_cycle_counts(comb_side.imgs, nc_side.imgs)
+        # a comb's mask is its Q, and the formula needs Q to miss the block of n
+        admissible = (comb_side.masks[:, None] & nc_side.masks[None, :]) == 0
+        for qi, bi in zip(*np.nonzero(admissible)):
+            q, b = combs[qi], ncs[bi]
+            formula = meanders.loop_count_comb(q, b)
+            if formula != int(direct[qi, bi]):
+                return name, False, (f"n={n}, Q={q!r}, beta={b!r}: "
+                                     f"{formula} != {int(direct[qi, bi])}")
+            checked += 1
     return name, True, f"{checked} admissible pairs, n<={n_max}"
 
 
@@ -247,7 +245,7 @@ def check_kreweras_loop_invariance(n_max: int = 7) -> CheckResult:
     checked = 0
     for n in range(1, n_max + 1):
         ncs = list(partitions.enumerate_nc(n))
-        imgs, _ = meanders._geodesic_rows(ncs)
+        imgs = meanders._side("nc", n).imgs
         kr_imgs, _ = meanders._geodesic_rows(p.kreweras() for p in ncs)
         plain = meanders.pairwise_cycle_counts(imgs, imgs)
         krd = meanders.pairwise_cycle_counts(kr_imgs, kr_imgs)
@@ -414,11 +412,7 @@ def _size_profiles(kind: str, n: int) -> dict[tuple, int]:
     """Multiplicities of block-size profiles over Int(n) or NC(n); for
     kind 'nc-last' the profile is (|block of n|, sorted other sizes)."""
     profiles: dict[tuple, int] = {}
-    if kind == "interval":
-        parts = partitions.enumerate_interval(n)
-    else:
-        parts = partitions.enumerate_nc(n)
-    for p in parts:
+    for p in meanders.side_partitions(kind.removesuffix("-last"), n):
         if kind == "nc-last":
             last = len(p.block_containing(n - 1))
             rest = tuple(sorted(len(b) for b in p.blocks if n - 1 not in b))

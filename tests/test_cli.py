@@ -6,7 +6,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from meandrics import cli, matrix_models, meanders, partitions, transforms
+from meandrics import cli, matrix_models, meanders, transforms
 
 
 def run(capsys, *argv):
@@ -17,8 +17,7 @@ def run(capsys, *argv):
 
 # The functions each command with --out does its work in.
 _WORK = {
-    "enumerate": [(partitions, "enumerate_nc"), (partitions, "enumerate_interval"),
-                  (partitions, "enumerate_kr_interval"), (meanders, "rainbow")],
+    "enumerate": [(meanders, "side_partitions")],
     "polynomial": [(meanders, "meander_polynomial")],
     "series": [(transforms, "thin_series"), (transforms, "shallow_top_series"),
                (transforms, "semi_meander_series")],
@@ -229,7 +228,8 @@ class TestSimulate:
         pytest.param("gue-df", "8,1", id="8,1"),
         pytest.param("gue-df", "1,8", id="1,8"),
         pytest.param("gue-df", "4,8,0,16", id="4,8,0,16"),
-        pytest.param("thin", "8,1", id="thin-8,1")])
+        pytest.param("thin", "8,1", id="thin-8,1"),
+        pytest.param("gue-df", "", id="empty")])
     def test_every_d_checked_before_any_work(self, capsys, monkeypatch, model, d):
         refuse_work(monkeypatch, "simulate")
         code, out, err = run(capsys, "simulate", model, "2", "2",

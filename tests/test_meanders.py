@@ -20,14 +20,16 @@ from meandrics.meanders import (
     pairwise_cycle_counts,
     rainbow,
     semi_loop_distribution,
+    side_partitions,
     thin_count,
 )
 from meandrics.meanders import (
-    _class_sides,
+    _CLASS_SIDES,
     _geodesic_rows,
     _orbits,
     _pair_histogram,
     _pair_scan,
+    _side,
 )
 from meandrics.partitions import (
     CombSubset,
@@ -305,12 +307,10 @@ class TestOrbitReduction:
 
     @staticmethod
     def plain_histogram(klass, n):
-        side_a, side_b = _class_sides(klass, n)
-        a_imgs, a_blocks = _geodesic_rows(side_a)
-        b_imgs, b_blocks = _geodesic_rows(side_b)
-        loops = pairwise_cycle_counts(a_imgs, b_imgs)
-        a_norm = np.broadcast_to((n - a_blocks)[:, None], loops.shape)
-        b_norm = np.broadcast_to((n - b_blocks)[None, :], loops.shape)
+        a, b = (_side(kind, n) for kind in _CLASS_SIDES[klass])
+        loops = pairwise_cycle_counts(a.imgs, b.imgs)
+        a_norm = np.broadcast_to((n - a.blocks)[:, None], loops.shape)
+        b_norm = np.broadcast_to((n - b.blocks)[None, :], loops.shape)
         return dict(Counter(zip(loops.ravel().tolist(), a_norm.ravel().tolist(),
                                 b_norm.ravel().tolist())))
 
@@ -338,11 +338,9 @@ class TestOrbitReduction:
     @pytest.mark.parametrize("klass", list(MeanderClass), ids=lambda k: k.value)
     def test_orbit_sizes_sum_to_side(self, klass):
         for n in range(1, 11):
-            side_a, side_b = _class_sides(klass, n)
-            a_imgs, _ = _geodesic_rows(side_a)
-            b_imgs, _ = _geodesic_rows(side_b)
-            reps, sizes = _orbits(a_imgs, b_imgs)
-            assert sizes.sum() == len(side_a), n
+            a, b = (_side(kind, n) for kind in _CLASS_SIDES[klass])
+            reps, sizes = _orbits(a.imgs, b.imgs)
+            assert sizes.sum() == len(a.imgs), n
             assert len(set(reps.tolist())) == len(reps), n
             if klass is not MeanderClass.FULL:
                 # reflection alone: Int(n) is not closed under rotation
@@ -364,6 +362,60 @@ class TestOrbitReduction:
             poly = meander_polynomial(MeanderClass.FULL, n)
             assert poly.coeffs[1] == want, n
             assert poly.total() == catalan(n) ** 2, n
+
+
+class TestSideTable:
+    """Each side kind is enumerated and encoded once per n, read-only, in
+    the row order of ``side_partitions``."""
+
+    @staticmethod
+    def clear_caches():
+        from meandrics import meanders as mod
+        for cached in (mod._side, mod._pair_histogram, mod._kr_pair_histogram):
+            cached.cache_clear()
+
+    @pytest.mark.parametrize("klass, n, enumerator", [
+        (MeanderClass.FULL, 7, "enumerate_nc"),
+        (MeanderClass.THIN, 8, "enumerate_interval")],
+        ids=["full", "thin"])
+    def test_scan_enumerates_its_side_once(self, monkeypatch, klass, n, enumerator):
+        from meandrics import meanders as mod
+        calls = Counter()
+        for attr in ("enumerate_nc", "enumerate_interval", "enumerate_kr_interval"):
+            def counted(m, attr=attr, fn=getattr(mod, attr)):
+                calls[attr, m] += 1
+                return fn(m)
+            monkeypatch.setattr(mod, attr, counted)
+        self.clear_caches()
+        try:
+            generating_coefficient(klass, n)
+        finally:
+            self.clear_caches()
+        assert calls == {(enumerator, n): 1}
+
+    @pytest.mark.parametrize("kind", ["nc", "interval", "kr-interval", "rainbow"])
+    def test_rows_follow_side_partitions(self, kind):
+        for n in range(1, 8):
+            parts = list(side_partitions(kind, n))
+            side = _side(kind, n)
+            assert side.imgs.tolist() == [list(p.to_geodesic().images) for p in parts]
+            assert side.blocks.tolist() == [p.block_count() for p in parts]
+            assert side.masks.tolist() == [
+                sum(1 << i for i in p.block_containing(n - 1) if i != n - 1)
+                for p in parts]
+            for arr in side:
+                assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                side.imgs[0, 0] = 0
+
+    def test_comb_mask_is_q(self):
+        for n in range(1, 9):
+            assert _side("kr-interval", n).masks.tolist() == [
+                sum(1 << i for i in q.q) for q in enumerate_kr_interval(n)]
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError):
+            side_partitions("crossing", 3)
 
 
 class TestDeterminism:
