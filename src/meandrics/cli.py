@@ -21,7 +21,8 @@ existing ``--out`` file untouched.  All output is deterministic given the
 arguments (and seed); warnings go to stderr so stdout stays stable.
 The MEANDER_THREADS environment variable caps the worker threads of
 every pair scan (loop polynomials, generating and cumulant coefficients,
-and the pairwise cycle counts behind ``verify``).
+and the pairwise cycle counts behind ``verify``) and of the Monte Carlo
+trace of ``simulate``; output does not depend on it.
 """
 
 from __future__ import annotations
@@ -183,6 +184,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     matrix_models.check_target_budget(model, args.n, args.l)
+    for spec in specs:
+        matrix_models.check_trace_budget(spec)
     with _output(args.out) as out:
         if args.format == "csv":
             out.write("model,n,l,d,samples,seed,mean,stderr,exact_target\n")

@@ -26,11 +26,19 @@ factorization of the model (sums of Kronecker products of d x d chains)
 instead of materializing the d^2 x d^2 product, which is orders of
 magnitude faster at a single trace per sample; the test suite checks
 this path against the explicit matrices.
+
+That trace walks the word tree of the chain products once.  Its
+subtrees run on the MEANDER_THREADS pool, and the leaf terms are folded
+into the sum on the calling thread in the order of the words, so the
+result is the same to the bit at every thread count.  For gue-df the
+second chain is the exact complex conjugate of the first and is not
+walked.  ``trace_budget`` bounds each trace by a measured cost model.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -40,6 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import meanders
 from .meanders import MeanderClass, _check_budget, _check_cap, meander_polynomial
 
 logger = logging.getLogger(__name__)
@@ -87,6 +96,9 @@ class EstimateReport:
     mean: float
     stderr: float
     exact_target: int | Fraction
+    # samples drawn again because their statistic was not finite, summed
+    # over retries; left out of to_json and CSV, which stay pinned
+    resamples: int = 0
 
     def to_json(self) -> dict:
         target = (int(self.exact_target)
@@ -304,32 +316,65 @@ def thin_exact(n: int, l: int) -> int:
 # Factorized trace evaluation
 # ---------------------------------------------------------------------------
 
-def _chain_trace_sum(w1: np.ndarray, w2: np.ndarray, length: int) -> np.ndarray:
+# The leaf terms one subtree of the chain trace may hold (leaves times
+# samples): 2^16 complex values, 1 MiB.  The word tree is split deep
+# enough that no subtree holds more.
+_SUBTREE_TERMS = 1 << 16
+
+
+def _chain_trace_sum(w1: np.ndarray, w2: np.ndarray | None, length: int) -> np.ndarray:
     """sum over sequences s in [m]^length of
     tr(prod_t w1[s_t]) * tr(prod_t w2[s_t]), batched over samples.
 
-    w1: (S, m, d1, d1), w2: (S, m, d2, d2); returns (S,) complex.
+    w1: (S, m, d1, d1), w2: (S, m, d2, d2); returns (S,) complex.  w2 None
+    stands for w1.conj(): each product and trace of that chain is then
+    the exact complex conjugate of the first chain's, so it is not walked.
+
+    The products are taken left to right, one letter at a time, and the
+    leaf terms are added to the sum one by one in lexicographic order of
+    the sequences, whatever the thread count, so the result is the same
+    to the bit.  The word tree is split at the first depth with at least
+    MEANDER_THREADS subtrees (deeper while a subtree would hold more than
+    _SUBTREE_TERMS terms); the subtrees run on the pool of
+    ``meanders._ordered_map`` and return their terms in order.
     """
     s_count, m = w1.shape[0], w1.shape[1]
-    acc = np.zeros(s_count, dtype=complex)
     if length == 1:
         t1 = np.trace(w1, axis1=2, axis2=3)
-        t2 = np.trace(w2, axis1=2, axis2=3)
+        t2 = t1.conj() if w2 is None else np.trace(w2, axis1=2, axis2=3)
         return np.sum(t1 * t2, axis=1)
 
-    def descend(depth: int, p1: np.ndarray, p2: np.ndarray) -> None:
-        nonlocal acc
-        if depth == length - 1:
-            for s in range(m):
-                t1 = np.einsum("sij,sji->s", p1, w1[:, s])
-                t2 = np.einsum("sij,sji->s", p2, w2[:, s])
-                acc += t1 * t2
-        else:
-            for s in range(m):
-                descend(depth + 1, p1 @ w1[:, s], p2 @ w2[:, s])
+    def extend(p: np.ndarray | None, w: np.ndarray, s: int) -> np.ndarray:
+        return w[:, s] if p is None else p @ w[:, s]
 
-    for s in range(m):
-        descend(1, w1[:, s], w2[:, s])
+    def subtree(prefix: tuple[int, ...]) -> list[np.ndarray]:
+        """The leaf terms of the words that start with prefix, in order."""
+        terms = []
+
+        def descend(depth: int, p1: np.ndarray | None, p2: np.ndarray | None) -> None:
+            if depth == length - 1:
+                for s in range(m):
+                    t1 = np.einsum("sij,sji->s", p1, w1[:, s])
+                    t2 = (t1.conj() if w2 is None
+                          else np.einsum("sij,sji->s", p2, w2[:, s]))
+                    terms.append(t1 * t2)
+            else:
+                for s in prefix[depth:depth + 1] if depth < len(prefix) else range(m):
+                    descend(depth + 1, extend(p1, w1, s),
+                            None if w2 is None else extend(p2, w2, s))
+
+        descend(0, None, None)
+        return terms
+
+    depth = 0
+    while depth < length - 1 and (m ** depth < meanders._threads()
+                                  or m ** (length - depth) * s_count > _SUBTREE_TERMS):
+        depth += 1
+    prefixes = list(itertools.product(range(m), repeat=depth))
+    acc = np.zeros(s_count, dtype=complex)
+    for terms in meanders._ordered_map(subtree, prefixes):
+        for term in terms:
+            acc += term
     return acc
 
 
@@ -379,7 +424,7 @@ def _stats_gue(spec: ModelSpec, indices: np.ndarray, retry: int) -> np.ndarray:
     mats = _draw(spec, indices, retry,
                  lambda gen: np.stack([sample_gue(d, gen) for _ in range(l)]))
     b = np.stack(mats)                     # (S, l, d, d)
-    traces = _chain_trace_sum(b, b.conj(), 2 * n)
+    traces = _chain_trace_sum(b, None, 2 * n)
     return traces.real * float(d) ** (-2 - 2 * n)
 
 
@@ -446,6 +491,67 @@ def check_target_budget(model: Model, n: int, l: int) -> None:
         _check_budget(klass, n, None)
 
 
+# The cost of a sampled model's trace, measured on 2 cores with one
+# thread (numpy 2.4.6) and counted in multiply-adds of a complex matrix
+# product, which take at most 0.5 ns each: every node of the word tree
+# that _chain_trace_sum walks (a product or a leaf trace; for
+# shallow-top, one step of the power of Z) is one batched numpy call
+# costing about TRACE_CALL of them (4 us), plus per sample about
+# TRACE_SAMPLE (0.35 us) and D^3 for a product of two D x D matrices.  A
+# trace may cost TRACE_MULADDS (30 s), and hold (``_trace_cost``) at
+# most TRACE_CELLS complex numbers, 256 MiB; each further
+# MEANDER_THREADS worker holds its own products.  Integers, so that no
+# size overflows a float.  The model overestimates: gue-df at n=5, l=2,
+# d=32 and 100 samples, the largest trace of the benchmark, is 3.4 s by
+# the model and took 1.3 s; wishart-pt at n=5, l=2, d=32, 400 samples is
+# 18 s and took 12 s for the whole estimate.
+TRACE_CALL = 8_000
+TRACE_SAMPLE = 700
+TRACE_MULADDS = 60 * 10 ** 9
+TRACE_CELLS = 1 << 24
+
+
+def _trace_cost(model: Model, n: int, l: int, d: int, samples: int) -> tuple[int, int]:
+    """(multiply-adds, complex cells) of a sampled model's trace by the
+    model above.  The cells are the operands and what the walk holds per
+    sample and chain: one product per level of the word tree, or for
+    shallow-top Z0, Z and two powers of Z."""
+    if model is Model.GUE_DF:       # one conjugate chain over the l B_i
+        m, length, dim, chains, held = l, 2 * n, d, 1, l + 2 * n
+    elif model is Model.SHALLOW_TOP:
+        m, length, dim, chains, held = 1, n, d * l, 1, 5
+    else:                           # two chains over the l^2 blocks
+        m, length, dim, chains, held = l * l, n, d, 2, l * l + n
+    nodes = length if m == 1 else (m ** (length + 1) - m) // (m - 1)
+    call = TRACE_CALL + samples * (TRACE_SAMPLE + dim ** 3)
+    return chains * nodes * call, chains * samples * dim * dim * held
+
+
+def trace_budget(model: Model, l: int, d: int, samples: int) -> int:
+    """Largest n whose trace is within TRACE_MULADDS and TRACE_CELLS at
+    these l, d and samples; 0 when even n = 1 is over budget."""
+    def within(n: int) -> bool:
+        muladds, cells = _trace_cost(model, n, l, d, samples)
+        return muladds <= TRACE_MULADDS and cells <= TRACE_CELLS
+
+    lo, hi = 0, 1           # within(lo) holds, or lo is 0
+    while within(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if within(mid) else (lo, mid)
+    return lo
+
+
+def check_trace_budget(spec: ModelSpec) -> None:
+    """ResourceLimitError when the trace of a sampled spec is over
+    ``trace_budget``; the thin model has no trace."""
+    if spec.model is not Model.THIN:
+        _check_cap(f"{spec.model.value} trace for l={spec.l}, d={spec.d}, "
+                   f"{spec.samples} samples", spec.n,
+                   trace_budget(spec.model, spec.l, spec.d, spec.samples))
+
+
 def exact_target(model: Model, n: int, l: int) -> int:
     klass = target_class(model)
     if klass is None:
@@ -456,6 +562,7 @@ def exact_target(model: Model, n: int, l: int) -> int:
 def estimate(spec: ModelSpec) -> EstimateReport:
     """Monte Carlo estimate of the model's trace functional (exact for
     the thin model).  Deterministic given the spec, including the seed."""
+    check_trace_budget(spec)
     target = exact_target(spec.model, spec.n, spec.l)
     if spec.model is Model.THIN:
         return EstimateReport(spec.model, spec.n, spec.l, spec.d, 0,
@@ -464,9 +571,10 @@ def estimate(spec: ModelSpec) -> EstimateReport:
     indices = np.arange(spec.samples)
     stats = stats_fn(spec, indices, 0)
     bad = ~np.isfinite(stats)
-    retry = 0
+    retry = resamples = 0
     while bad.any() and retry < 5:
         retry += 1
+        resamples += int(bad.sum())
         logger.warning("model %s: resampling %d non-finite samples (retry %d)",
                        spec.model.value, int(bad.sum()), retry)
         stats[bad] = stats_fn(spec, indices[bad], retry)
@@ -477,7 +585,7 @@ def estimate(spec: ModelSpec) -> EstimateReport:
     stderr = (float(stats.std(ddof=1) / math.sqrt(spec.samples))
               if spec.samples > 1 else 0.0)
     return EstimateReport(spec.model, spec.n, spec.l, spec.d, spec.samples,
-                          spec.seed, mean, stderr, target)
+                          spec.seed, mean, stderr, target, resamples)
 
 
 def estimate_sweep(spec: ModelSpec, d_values: Sequence[int]) -> list[EstimateReport]:

@@ -44,13 +44,14 @@ from __future__ import annotations
 import enum
 import os
 import sys
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -63,6 +64,10 @@ from .partitions import (
     enumerate_nc,
 )
 from .transforms import LaurentPoly
+
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 
 class ResourceLimitError(RuntimeError):
@@ -193,6 +198,27 @@ def _thread_count(raw: str | None) -> int:
               f"using {cpus} threads", file=sys.stderr)
         return cpus
     return want
+
+
+def _ordered_map(fn: Callable[[_T], _R], items: Sequence[_T]) -> Iterator[_R]:
+    """fn(item) for each item, yielded in item order.
+
+    The one thread pool of the package: up to MEANDER_THREADS calls run
+    at once on worker threads, and the next call is started only when
+    the oldest result is taken, so at most that many calls are running
+    or done and waiting.  With one worker or one item the calls run on
+    the calling thread."""
+    workers = min(_threads(), len(items))
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    rest = iter(items)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        window = deque(pool.submit(fn, item) for item in islice(rest, workers))
+        while window:
+            result = window.popleft().result()
+            window.extend(pool.submit(fn, item) for item in islice(rest, 1))
+            yield result
 
 
 def _geodesic_rows(parts: Iterable[NcPartition]) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +359,7 @@ def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
     """reduce(rows, counts) for each chunk of A rows against all of B, in
     chunk order.  rows is the chunk's slice of A; counts holds
     #cycles(alpha~ beta) for its pairs, A-major.  Chunks are mapped over
-    up to MEANDER_THREADS worker threads."""
+    the MEANDER_THREADS pool by ``_ordered_map``."""
     ma, n = a_imgs.shape
     inv = _inverse(a_imgs)
     mb = b_imgs.shape[0]
@@ -346,12 +372,7 @@ def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
         comp = np.take(inv[rows], b_imgs, axis=1)
         return reduce(rows, _cycle_counts(comp.reshape(-1, n)))
 
-    starts = range(0, ma, chunk)
-    workers = _threads()
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, starts))
-    return [run(s) for s in starts]
+    return list(_ordered_map(run, range(0, ma, chunk)))
 
 
 def _pair_scan(a_imgs: np.ndarray, a_stat: np.ndarray, b_imgs: np.ndarray,

@@ -247,6 +247,37 @@ class TestSimulate:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert f"thin exact target for l={l} at n={n} exceeds budget" in lines[0]
 
+    @pytest.mark.parametrize("argv, what", [
+        pytest.param(("gue-df", "9", "2"),
+                     "gue-df trace for l=2, d=8, 400 samples at n=9", id="gue-df"),
+        pytest.param(("nc-nc", "5", "3", "--d", "4,8"),
+                     "nc-nc trace for l=3, d=8, 400 samples at n=5", id="nc-nc"),
+        pytest.param(("shallow-top", "1", "16", "--d", "64", "--samples", "4000"),
+                     "shallow-top trace for l=16, d=64, 4000 samples at n=1",
+                     id="shallow-top")])
+    def test_trace_over_budget_exits_3_before_any_work(self, capsys, monkeypatch,
+                                                       argv, what):
+        refuse_work(monkeypatch, "simulate")
+        code, out, err = run(capsys, "simulate", *argv)
+        lines = err.splitlines()
+        assert code == 3 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert what in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ("gue-df", "3", "2", "--d", "4,8", "--samples", "20"),
+        ("nc-nc", "2", "2", "--d", "4,8", "--samples", "50")], ids=lambda a: a[0])
+    def test_stdout_independent_of_thread_count(self, capsys, monkeypatch, argv):
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MEANDER_THREADS", threads)
+            meanders._thread_count.cache_clear()
+            code, out, _ = run(capsys, "simulate", *argv, "--seed", "3")
+            assert code == 0
+            outs.append(out)
+        meanders._thread_count.cache_clear()
+        assert outs[0] == outs[1] and len(outs[0].splitlines()) == 2
+
     def test_thin_target_computed_once_for_every_d(self, capsys, monkeypatch):
         built = []
         z_thin = matrix_models.z_thin
@@ -312,7 +343,9 @@ class TestOut:
     @pytest.mark.parametrize("argv", [("series", "thin", "65"),
                                       ("enumerate", "nc", "20"),
                                       ("polynomial", "full", "10"),
-                                      ("simulate", "nc-nc", "10", "2")],
+                                      ("simulate", "nc-nc", "10", "2"),
+                                      pytest.param(("simulate", "gue-df", "9", "2"),
+                                                   id="simulate-trace")],
                              ids=lambda argv: argv[0])
     def test_over_budget_exits_3_before_opening_out(self, capsys, monkeypatch,
                                                     tmp_path, argv):
@@ -388,7 +421,7 @@ _argv = st.one_of(
               st.one_of(_ints(12), st.sampled_from(["29", "65", "257", "100000"]))],
              _options(out=_outs, format=_choice(["json"]), budget_override=_budgets)),
     _command("verify", [st.just("bogus")], _options(budget_override=_budgets)),
-    # --samples is always given: the Monte Carlo trace has no budget yet
+    # --samples is always given and small, so that examples stay fast
     _command("simulate",
              [_choice([m.value for m in matrix_models.Model]), _ints(3), _ints(2),
               st.just("--samples"), _ints(4)],

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from meandrics import matrix_models, meanders
 from meandrics.matrix_models import (
     Model,
     ModelSpec,
@@ -27,10 +28,14 @@ from meandrics.matrix_models import (
     z_thin,
 )
 from meandrics.matrix_models import (
+    _STATS,
+    _chain_trace_sum,
     _stats_gue,
     _stats_nc_nc,
     _stats_shallow_top,
     _stats_wishart,
+    check_trace_budget,
+    trace_budget,
 )
 from meandrics.meanders import MeanderClass, ResourceLimitError, meander_polynomial
 
@@ -235,6 +240,103 @@ class TestFactorizedAgainstExplicit:
                 assert math.isclose(fast[idx], want, rel_tol=1e-10)
 
 
+def _reference_chain_trace_sum(w1, w2, length):
+    """The recursive descent the chain trace started from: one walk per
+    chain, every leaf term added to the sum in lexicographic order."""
+    s_count, m = w1.shape[0], w1.shape[1]
+    acc = np.zeros(s_count, dtype=complex)
+    if length == 1:
+        t1 = np.trace(w1, axis1=2, axis2=3)
+        t2 = np.trace(w2, axis1=2, axis2=3)
+        return np.sum(t1 * t2, axis=1)
+
+    def descend(depth, p1, p2):
+        nonlocal acc
+        if depth == length - 1:
+            for s in range(m):
+                t1 = np.einsum("sij,sji->s", p1, w1[:, s])
+                t2 = np.einsum("sij,sji->s", p2, w2[:, s])
+                acc += t1 * t2
+        else:
+            for s in range(m):
+                descend(depth + 1, p1 @ w1[:, s], p2 @ w2[:, s])
+
+    for s in range(m):
+        descend(1, w1[:, s], w2[:, s])
+    return acc
+
+
+class TestChainTrace:
+    """_chain_trace_sum returns the reference's bits, with either chain
+    form, whatever the thread count and however deep the tree is split."""
+
+    @pytest.mark.parametrize("split", ["1 thread", "2 threads", "deep split"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_bitwise_equal_to_reference(self, monkeypatch, m, split):
+        workers = 2 if split == "2 threads" else 1
+        monkeypatch.setattr(meanders, "_threads", lambda: workers)
+        if split == "deep split":
+            monkeypatch.setattr(matrix_models, "_SUBTREE_TERMS", 4)
+        subtrees = []
+        ordered_map = meanders._ordered_map
+
+        def counted(fn, items):
+            subtrees.append(len(items))
+            return ordered_map(fn, items)
+
+        monkeypatch.setattr(meanders, "_ordered_map", counted)
+        rng = np.random.default_rng(SEED + m)
+        for length in range(1, 7):
+            for s_count in (1, 3):
+                for d in (2, 4):
+                    w1, w2 = (complex_gaussians(rng, (s_count, m, d, d))
+                              for _ in range(2))
+                    assert np.array_equal(_chain_trace_sum(w1, w2, length),
+                                          _reference_chain_trace_sum(w1, w2, length))
+                    assert np.array_equal(_chain_trace_sum(w1, None, length),
+                                          _reference_chain_trace_sum(w1, w1.conj(), length))
+        if split == "1 thread":
+            assert set(subtrees) == {1}
+        elif m > 1:
+            # the pool (or the deep split) really ran several subtrees
+            assert max(subtrees) > 1
+
+    def test_conjugate_chain_is_bitwise_conjugate(self):
+        rng = np.random.default_rng(SEED)
+        for _ in range(200):
+            a, b = (complex_gaussians(rng, (3, 16, 16)) for _ in range(2))
+            assert np.array_equal(a.conj() @ b.conj(), (a @ b).conj())
+            assert np.array_equal(np.einsum("sij,sji->s", a.conj(), b.conj()),
+                                  np.einsum("sij,sji->s", a, b).conj())
+
+
+class TestTraceBudget:
+    def test_benchmark_and_tests_within_budget(self):
+        for model, n, l, d, samples in (
+                (Model.GUE_DF, 5, 2, 32, 100), (Model.NC_NC, 2, 2, 32, 1000),
+                (Model.NC_NC, 4, 2, 32, 400), (Model.GUE_DF, 3, 2, 32, 400),
+                (Model.WISHART_PT, 3, 2, 32, 400), (Model.SHALLOW_TOP, 3, 2, 32, 400)):
+            assert n <= trace_budget(model, l, d, samples)
+
+    def test_budget_shrinks_with_size(self):
+        assert trace_budget(Model.GUE_DF, 2, 32, 100) == 6
+        assert trace_budget(Model.GUE_DF, 2, 32, 400) == 5
+        assert trace_budget(Model.NC_NC, 3, 8, 400) == 4
+        # operands alone over the cell budget
+        assert trace_budget(Model.GUE_DF, 64, 32, 400) == 0
+        # one letter: the cost grows linearly in n, and the budget is finite
+        assert 0 < trace_budget(Model.GUE_DF, 1, 2, 1) < 10 ** 8
+
+    def test_estimate_refuses_over_budget(self):
+        spec = ModelSpec(Model.GUE_DF, 9, 2, 8, 400, SEED)
+        with pytest.raises(ResourceLimitError,
+                           match="gue-df trace for l=2, d=8, 400 samples at n=9"):
+            check_trace_budget(spec)
+        with pytest.raises(ResourceLimitError):
+            estimate(spec)
+        check_trace_budget(ModelSpec(Model.THIN, 4096, 1, 8, 400, SEED))
+
+
 class TestModelMatrices:
     def test_z_is_hermitian_psd_per_sample(self):
         for idx in range(4):
@@ -280,6 +382,25 @@ class TestEstimate:
         assert doc["model"] == "shallow-top" and doc["exact_target"] == 2
         assert set(doc) == {"model", "n", "l", "d", "samples", "seed",
                             "mean", "stderr", "exact_target"}
+
+    def test_resamples_counted_off_stdout(self, monkeypatch):
+        spec = ModelSpec(Model.NC_NC, 2, 2, 6, 20, SEED)
+        assert estimate(spec).resamples == 0
+        stats_fn = _STATS[Model.NC_NC]
+        calls = []
+
+        def nan_once(spec, indices, retry):
+            stats = stats_fn(spec, indices, retry)
+            if not calls:
+                stats[[0, 3]] = np.nan
+            calls.append(retry)
+            return stats
+
+        monkeypatch.setitem(_STATS, Model.NC_NC, nan_once)
+        rep = estimate(spec)
+        assert calls == [0, 1] and rep.resamples == 2
+        assert math.isfinite(rep.mean) and math.isfinite(rep.stderr)
+        assert "resamples" not in rep.to_json()
 
     def test_sweep(self):
         reports = estimate_sweep(ModelSpec(Model.GUE_DF, 1, 2, 4, 30, SEED), [4, 8])
