@@ -30,9 +30,11 @@ this path against the explicit matrices.
 That trace walks the word tree of the chain products once.  Its
 subtrees run on the MEANDER_THREADS pool, and the leaf terms are folded
 into the sum on the calling thread in the order of the words, so the
-result is the same to the bit at every thread count.  For gue-df the
-second chain is the exact complex conjugate of the first and is not
-walked.  ``trace_budget`` bounds each trace by a measured cost model.
+result is the same to the bit at every thread count.  For gue-df and
+for nc-nc with ``second_map="conjugate"`` the second chain is the exact
+complex conjugate of the first and is not walked; nc-nc with
+``second_map="same"`` builds the letters once and uses them for both
+chains.  ``trace_budget`` bounds each trace by a measured cost model.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -205,16 +207,23 @@ def psi(x: np.ndarray) -> np.ndarray:
     return x + np.trace(x) * np.eye(l, dtype=x.dtype)
 
 
-def choi_matrix(op: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Choi matrix sum_ij E_ij (x) op(E_ij)."""
+def _on_omega(left: Callable[[np.ndarray], np.ndarray],
+              right: Callable[[np.ndarray], np.ndarray], l: int) -> np.ndarray:
+    """[left (x) right](omega_l) = sum_ij left(E_ij) (x) right(E_ij),
+    summed over the matrix units E_ij in row-major order of (i, j)."""
     out = None
-    for i in range(dim):
-        for j in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
+    for i in range(l):
+        for j in range(l):
+            e = np.zeros((l, l), dtype=complex)
             e[i, j] = 1.0
-            term = np.kron(e, op(e))
+            term = np.kron(left(e), right(e))
             out = term if out is None else out + term
     return out
+
+
+def choi_matrix(op: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
+    """Choi matrix sum_ij E_ij (x) op(E_ij)."""
+    return _on_omega(lambda e: e, op, dim)
 
 
 def hermitian_defect(m: np.ndarray) -> float:
@@ -231,32 +240,13 @@ def min_eigenvalue(m: np.ndarray) -> float:
 
 def z_nc_nc(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Z = [Phi_G (x) Phi_H](omega_l), literally summed over basis units."""
-    l = g.shape[0]
-    z = None
-    for i in range(l):
-        for j in range(l):
-            e = np.zeros((l, l), dtype=complex)
-            e[i, j] = 1.0
-            term = np.kron(phi_ginibre(g, e), phi_ginibre(h, e))
-            z = term if z is None else z + term
-    return z
+    return _on_omega(partial(phi_ginibre, g), partial(phi_ginibre, h), g.shape[0])
 
 
 def z_shallow_top(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Z0, Z) = ([Phi_G (x) id](omega_l), [Phi_G (x) Psi](omega_l))."""
-    l = g.shape[0]
-    z0 = None
-    z = None
-    for i in range(l):
-        for j in range(l):
-            e = np.zeros((l, l), dtype=complex)
-            e[i, j] = 1.0
-            block = phi_ginibre(g, e)
-            t0 = np.kron(block, e)
-            t1 = np.kron(block, psi(e))
-            z0 = t0 if z0 is None else z0 + t0
-            z = t1 if z is None else z + t1
-    return z0, z
+    phi, l = partial(phi_ginibre, g), g.shape[0]
+    return _on_omega(phi, lambda e: e, l), _on_omega(phi, psi, l)
 
 
 def z_thin(l: int) -> np.ndarray:
@@ -400,21 +390,20 @@ def _draw(spec: ModelSpec, indices: np.ndarray, retry: int,
 def _stats_nc_nc(spec: ModelSpec, indices: np.ndarray, retry: int) -> np.ndarray:
     l, d, n = spec.l, spec.d, spec.n
 
-    def draw(gen):
-        g = sample_ginibre(l, d * d, gen)
-        if spec.second_map == "independent":
-            h = sample_ginibre(l, d * d, gen)
-        elif spec.second_map == "same":
-            h = g
-        else:
-            h = g.conj()
-        return g, h
-
-    pairs = _draw(spec, indices, retry, draw)
-    g = np.stack([p[0] for p in pairs])
-    h = np.stack([p[1] for p in pairs])
-    w1 = _phi_blocks(g)
-    w2 = _phi_blocks(h)
+    if spec.second_map == "independent":
+        pairs = _draw(spec, indices, retry,
+                      lambda gen: (sample_ginibre(l, d * d, gen),
+                                   sample_ginibre(l, d * d, gen)))
+        g = np.stack([p[0] for p in pairs])
+        h = np.stack([p[1] for p in pairs])
+        w1 = _phi_blocks(g)
+        w2 = _phi_blocks(h)
+    else:
+        # H = G or conj(G): the blocks of conj(G) are bitwise the conjugate
+        # of G's, which _chain_trace_sum reads from w2 = None
+        w1 = _phi_blocks(np.stack(_draw(spec, indices, retry,
+                                        lambda gen: sample_ginibre(l, d * d, gen))))
+        w2 = w1 if spec.second_map == "same" else None
     traces = _chain_trace_sum(w1, w2, n)
     return traces.real * float(d) ** (-2 - 2 * n)
 

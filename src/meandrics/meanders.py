@@ -87,7 +87,7 @@ class MeanderClass(enum.Enum):
 
 
 DEFAULT_BUDGETS: dict[MeanderClass, int] = {
-    MeanderClass.FULL: 9,
+    MeanderClass.FULL: 10,
     MeanderClass.SHALLOW_TOP: 10,
     MeanderClass.THIN: 16,
     MeanderClass.SEMI: 16,

@@ -41,6 +41,24 @@ def catalan(n: int) -> int:
 # Permutations
 # ---------------------------------------------------------------------------
 
+def _cycles(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Disjoint cycles of i -> images[i], each starting at its minimum,
+    ordered by minimum."""
+    seen = [False] * len(images)
+    out = []
+    for i in range(len(images)):
+        if seen[i]:
+            continue
+        cyc = []
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            cyc.append(j)
+            j = images[j]
+        out.append(tuple(cyc))
+    return tuple(out)
+
+
 class Permutation:
     """A permutation of {0, ..., n-1} in one-line notation."""
 
@@ -72,20 +90,18 @@ class Permutation:
         return cls(tuple(range(1, n)) + (0,))
 
     @classmethod
-    def from_cycles(cls, n: int, cycles: Iterable[Iterable[int]],
-                    one_based: bool = True) -> "Permutation":
+    def from_cycles(cls, n: int, cycles: Iterable[Iterable[int]]) -> "Permutation":
         """Build from disjoint cycles; fixed points may be omitted.
 
         Cycles are given in the 1-based notation used in all displayed
         examples, e.g. ``from_cycles(5, [(1, 2), (3, 4, 5)])``.
         """
-        off = 1 if one_based else 0
         images = list(range(n))
         for cycle in cycles:
-            cycle = [c - off for c in cycle]
+            cycle = [c - 1 for c in cycle]
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 if not 0 <= a < n:
-                    raise ValueError(f"cycle entry {a + off} out of range")
+                    raise ValueError(f"cycle entry {a + 1} out of range")
                 images[a] = b
         return cls(images)
 
@@ -119,40 +135,15 @@ class Permutation:
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, 0-based, each starting at its minimum,
         ordered by minimum."""
-        seen = [False] * self.n
-        out = []
-        for i in range(self.n):
-            if seen[i]:
-                continue
-            cyc = []
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = self.images[j]
-            out.append(tuple(cyc))
-        return tuple(out)
+        return _cycles(self.images)
 
     def cycle_count(self) -> int:
-        seen = [False] * self.n
-        count = 0
-        for i in range(self.n):
-            if seen[i]:
-                continue
-            count += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j]
-        return count
+        return len(_cycles(self.images))
 
     def length(self) -> int:
         """Minimal number of transpositions multiplying to self;
         equals n - cycle_count."""
         return self.n - self.cycle_count()
-
-    def is_identity(self) -> bool:
-        return all(x == i for i, x in enumerate(self.images))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -176,15 +167,20 @@ def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...],
     return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
+def _owners(blocks: Sequence[Sequence[int]], n: int) -> list[int]:
+    """owner[x] = index of the block that holds x."""
+    owner = [0] * n
+    for k, b in enumerate(blocks):
+        for x in b:
+            owner[x] = k
+    return owner
+
+
 def _blocks_cross(blocks: Sequence[Sequence[int]], n: int) -> bool:
     # Classic one-pass stack check: a revisited block must sit on top of
     # the stack of open blocks, and a block is popped at its maximum.
-    owner = [0] * n
-    last = [0] * len(blocks)
-    for k, b in enumerate(blocks):
-        last[k] = b[-1]
-        for x in b:
-            owner[x] = k
+    owner = _owners(blocks, n)
+    last = [b[-1] for b in blocks]
     stack: list[int] = []
     opened = [False] * len(blocks)
     for i in range(n):
@@ -275,13 +271,13 @@ class NcPartition:
         gamma = Permutation.full_cycle(n)
         if p.length() + p.inverse().compose(gamma).length() != n - 1:
             raise GeodesicViolationError(f"not on the id--gamma geodesic: {p!r}")
-        return cls(n, [sorted(c) for c in p.cycles()])
+        return cls(n, p.cycles())
 
     def kreweras(self) -> "NcPartition":
         """Kreweras complement, computed as p~ * gamma on geodesics."""
         p = self.to_geodesic()
         comp = p.inverse().compose(Permutation.full_cycle(self.n))
-        return NcPartition(self.n, [sorted(c) for c in comp.cycles()])
+        return NcPartition(self.n, comp.cycles())
 
     def fatten(self) -> "NcPartition":
         """The non-crossing pairing of 2n points obtained by doubling.
@@ -299,10 +295,7 @@ class NcPartition:
         of other."""
         if self.n != other.n:
             raise SizeMismatchError("different ground sets")
-        owner = [0] * other.n
-        for k, b in enumerate(other.blocks):
-            for x in b:
-                owner[x] = k
+        owner = _owners(other.blocks, other.n)
         return all(len({owner[x] for x in b}) == 1 for b in self.blocks)
 
     def to_one_based(self) -> list[list[int]]:
@@ -440,19 +433,20 @@ def enumerate_nc(n: int) -> Iterator[NcPartition]:
                 i, j = b // 2, a // 2
             images[i] = j
         # cycles, discovered at their minima, are the canonical blocks
-        seen = [False] * n
-        blocks = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            cyc = []
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = images[j]
-            blocks.append(tuple(cyc))
-        yield NcPartition._trusted(n, tuple(blocks))
+        yield NcPartition._trusted(n, _cycles(images))
+
+
+def _interval_blocks(n: int, cuts: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical blocks of the interval partition of 0..n-1 cut after
+    every i whose bit is set in the mask cuts."""
+    blocks = []
+    start = 0
+    for i in range(n - 1):
+        if cuts >> i & 1:
+            blocks.append(tuple(range(start, i + 1)))
+            start = i + 1
+    blocks.append(tuple(range(start, n)))
+    return tuple(blocks)
 
 
 def enumerate_interval(n: int) -> Iterator[NcPartition]:
@@ -460,14 +454,7 @@ def enumerate_interval(n: int) -> Iterator[NcPartition]:
     if n < 1:
         raise ValueError("n must be >= 1")
     for cuts in range(1 << (n - 1)):
-        blocks = []
-        start = 0
-        for i in range(n - 1):
-            if cuts >> i & 1:
-                blocks.append(tuple(range(start, i + 1)))
-                start = i + 1
-        blocks.append(tuple(range(start, n)))
-        yield NcPartition._trusted(n, tuple(blocks))
+        yield NcPartition._trusted(n, _interval_blocks(n, cuts))
 
 
 def enumerate_kr_interval(n: int) -> Iterator[CombSubset]:
@@ -490,14 +477,8 @@ def nc_meet(a: NcPartition, b: NcPartition) -> NcPartition:
     """Largest common refinement: blockwise intersections."""
     if a.n != b.n:
         raise SizeMismatchError("different ground sets")
-    owner_a = [0] * a.n
-    for k, blk in enumerate(a.blocks):
-        for x in blk:
-            owner_a[x] = k
-    owner_b = [0] * b.n
-    for k, blk in enumerate(b.blocks):
-        for x in blk:
-            owner_b[x] = k
+    owner_a = _owners(a.blocks, a.n)
+    owner_b = _owners(b.blocks, b.n)
     groups: dict[tuple[int, int], list[int]] = {}
     for x in range(a.n):
         groups.setdefault((owner_a[x], owner_b[x]), []).append(x)
@@ -556,12 +537,12 @@ def nc_join(a: NcPartition, b: NcPartition) -> NcPartition:
     return NcPartition(a.n, [sorted(blk) for blk in blocks])
 
 
-def _separators(p: NcPartition) -> set[int]:
-    # positions i (0-based gap between i and i+1) not straddled by any block
-    straddled = set()
+def _separators(p: NcPartition) -> int:
+    # bit i set: the gap between i and i+1 (0-based) is straddled by no block
+    straddled = 0
     for blk in p.blocks:
-        straddled.update(range(blk[0], blk[-1]))
-    return set(range(p.n - 1)) - straddled
+        straddled |= (1 << blk[-1]) - (1 << blk[0])
+    return ((1 << (p.n - 1)) - 1) & ~straddled
 
 
 def interval_join(a: NcPartition, b: NcPartition) -> NcPartition:
@@ -570,13 +551,7 @@ def interval_join(a: NcPartition, b: NcPartition) -> NcPartition:
     if a.n != b.n:
         raise SizeMismatchError("different ground sets")
     cuts = _separators(a) & _separators(b)
-    blocks = []
-    start = 0
-    for i in sorted(cuts):
-        blocks.append(list(range(start, i + 1)))
-        start = i + 1
-    blocks.append(list(range(start, a.n)))
-    return NcPartition(a.n, blocks)
+    return NcPartition(a.n, _interval_blocks(a.n, cuts))
 
 
 def kr_interval_meet(q: CombSubset, b: NcPartition) -> NcPartition:

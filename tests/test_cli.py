@@ -89,7 +89,7 @@ class TestPolynomial:
         assert json.loads(out) == {"n": 1, "class": "full", "coeffs": {"1": 1}}
 
     def test_budget(self, capsys):
-        code, _, err = run(capsys, "polynomial", "full", "10..10")
+        code, _, err = run(capsys, "polynomial", "full", "11..11")
         assert code == 3 and "budget" in err
 
     @pytest.mark.parametrize("argv", [("full", "0"), ("thin", "x"),
@@ -342,8 +342,8 @@ class TestOut:
 
     @pytest.mark.parametrize("argv", [("series", "thin", "65"),
                                       ("enumerate", "nc", "20"),
-                                      ("polynomial", "full", "10"),
-                                      ("simulate", "nc-nc", "10", "2"),
+                                      ("polynomial", "full", "11"),
+                                      ("simulate", "nc-nc", "11", "2"),
                                       pytest.param(("simulate", "gue-df", "9", "2"),
                                                    id="simulate-trace")],
                              ids=lambda argv: argv[0])

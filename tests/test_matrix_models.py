@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -193,14 +194,17 @@ class TestThinExact:
 
 class TestFactorizedAgainstExplicit:
     def test_nc_nc(self):
-        for n in (1, 2, 3, 4):
-            spec = ModelSpec(Model.NC_NC, n, 2, 4, 5, SEED)
+        second_maps = {"independent": lambda g, gen: sample_ginibre(2, 16, gen),
+                       "same": lambda g, gen: g,
+                       "conjugate": lambda g, gen: g.conj()}
+        for (second_map, second), n in itertools.product(second_maps.items(),
+                                                         (1, 2, 3, 4)):
+            spec = ModelSpec(Model.NC_NC, n, 2, 4, 5, SEED, second_map=second_map)
             fast = _stats_nc_nc(spec, np.arange(5), 0)
             for idx in range(5):
                 gen = sample_stream(SEED, idx)
                 g = sample_ginibre(2, 16, gen)
-                h = sample_ginibre(2, 16, gen)
-                z = z_nc_nc(g, h)
+                z = z_nc_nc(g, second(g, gen))
                 want = np.trace(np.linalg.matrix_power(z, n)).real * 4.0 ** (-2 - 2 * n)
                 assert math.isclose(fast[idx], want, rel_tol=1e-10)
 
@@ -300,6 +304,18 @@ class TestChainTrace:
         elif m > 1:
             # the pool (or the deep split) really ran several subtrees
             assert max(subtrees) > 1
+
+    @pytest.mark.parametrize("second_map, calls",
+                             [("independent", 2), ("same", 1), ("conjugate", 1)])
+    def test_nc_nc_builds_letters_once_per_channel(self, monkeypatch, second_map, calls):
+        # same reuses G's letters; conjugate reads conj(G)'s as their conjugate
+        phi_blocks = matrix_models._phi_blocks
+        seen = []
+        monkeypatch.setattr(matrix_models, "_phi_blocks",
+                            lambda g: seen.append(g) or phi_blocks(g))
+        spec = ModelSpec(Model.NC_NC, 2, 2, 4, 3, SEED, second_map=second_map)
+        _stats_nc_nc(spec, np.arange(3), 0)
+        assert len(seen) == calls
 
     def test_conjugate_chain_is_bitwise_conjugate(self):
         rng = np.random.default_rng(SEED)

@@ -357,7 +357,7 @@ class TestOrbitReduction:
 
     def test_full_n9_meander_numbers(self):
         # one-loop coefficients: the meander numbers (OEIS A005315)
-        meanders = [1, 2, 8, 42, 262, 1828, 13820, 110954, 933458]
+        meanders = [1, 2, 8, 42, 262, 1828, 13820, 110954, 933458, 8152860]
         for n, want in enumerate(meanders, 1):
             poly = meander_polynomial(MeanderClass.FULL, n)
             assert poly.coeffs[1] == want, n

@@ -71,6 +71,18 @@ class TestPermutation:
         prod = Permutation.from_cycles(5, [(2, 3, 5, 4)])
         assert prod.cycle_count() == 2
 
+    def test_cycles_of_every_permutation(self):
+        for n in range(1, 7):
+            for images in itertools.permutations(range(n)):
+                p = Permutation(images)
+                cycles = p.cycles()
+                assert sorted(x for c in cycles for x in c) == list(range(n))
+                for c in cycles:
+                    assert c[0] == min(c)
+                    assert all(images[a] == b for a, b in zip(c, c[1:] + c[:1]))
+                assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
+                assert p.cycle_count() == len(cycles)
+
     def test_length_is_minimal_transposition_count(self):
         # BFS over the Cayley graph generated by transpositions
         for n in range(2, 6):
