@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=400)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--second-map", choices=["independent", "same", "conjugate"],
-                   default="independent")
+                   default="independent", help="nc-nc only")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_simulate)

@@ -44,7 +44,6 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Sequence
 
@@ -85,6 +84,9 @@ class ModelSpec:
             raise ValueError("samples must be >= 1")
         if self.second_map not in ("independent", "same", "conjugate"):
             raise ValueError(f"unknown second_map {self.second_map!r}")
+        if self.second_map != "independent" and self.model is not Model.NC_NC:
+            raise ValueError(f"second_map {self.second_map!r} applies to nc-nc "
+                             f"only, not {self.model.value}")
 
 
 @dataclass(frozen=True)
@@ -97,20 +99,17 @@ class EstimateReport:
     seed: int
     mean: float
     stderr: float
-    exact_target: int | Fraction
+    exact_target: int
     # samples drawn again because their statistic was not finite, summed
     # over retries; left out of to_json and CSV, which stay pinned
     resamples: int = 0
 
     def to_json(self) -> dict:
-        target = (int(self.exact_target)
-                  if Fraction(self.exact_target).denominator == 1
-                  else str(self.exact_target))
         return {
             "model": self.model.value, "n": self.n, "l": self.l,
             "d": self.d, "samples": self.samples, "seed": self.seed,
             "mean": self.mean, "stderr": self.stderr,
-            "exact_target": target,
+            "exact_target": self.exact_target,
         }
 
 

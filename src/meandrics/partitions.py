@@ -176,25 +176,27 @@ def _owners(blocks: Sequence[Sequence[int]], n: int) -> list[int]:
     return owner
 
 
-def _blocks_cross(blocks: Sequence[Sequence[int]], n: int) -> bool:
-    # Classic one-pass stack check: a revisited block must sit on top of
-    # the stack of open blocks, and a block is popped at its maximum.
-    owner = _owners(blocks, n)
-    last = [b[-1] for b in blocks]
-    stack: list[int] = []
-    opened = [False] * len(blocks)
-    for i in range(n):
-        k = owner[i]
-        if not opened[k]:
-            opened[k] = True
-            stack.append(k)
-        elif not stack or stack[-1] != k:
-            return True
-        if last[k] == i:
-            if not stack or stack[-1] != k:
-                return True
-            stack.pop()
-    return False
+def _geodesic_images(blocks: Iterable[Sequence[int]], n: int) -> list[int]:
+    """One-line images of the permutation whose cycles are the blocks,
+    each read increasingly."""
+    images = list(range(n))
+    for b in blocks:
+        for a, c in zip(b, b[1:] + b[:1]):
+            images[a] = c
+    return images
+
+
+def _on_geodesic(images: Sequence[int]) -> bool:
+    """Whether p lies on the id--gamma geodesic: #(p) + #(p~ gamma) ==
+    n + 1 in cycle counts.  For p built from blocks by
+    :func:`_geodesic_images` this holds exactly when the blocks do not
+    cross (Biane)."""
+    n = len(images)
+    inv = [0] * n
+    for i, x in enumerate(images):
+        inv[x] = i
+    # (p~ gamma)(i) = p~(i + 1 mod n)
+    return len(_cycles(images)) + len(_cycles(inv[1:] + inv[:1])) == n + 1
 
 
 class NcPartition:
@@ -209,7 +211,7 @@ class NcPartition:
         cover = sorted(x for b in canon for x in b)
         if cover != list(range(n)):
             raise ValueError(f"blocks do not partition 0..{n - 1}: {canon}")
-        if _blocks_cross(canon, n):
+        if not _on_geodesic(_geodesic_images(canon, n)):
             raise ValueError(f"blocks cross: {canon}")
         self.n = n
         self.blocks = canon
@@ -254,11 +256,7 @@ class NcPartition:
 
     def to_geodesic(self) -> Permutation:
         """The permutation whose cycles are the blocks, elements increasing."""
-        images = list(range(self.n))
-        for b in self.blocks:
-            for a, c in zip(b, b[1:] + b[:1]):
-                images[a] = c
-        return Permutation(images)
+        return Permutation(_geodesic_images(self.blocks, self.n))
 
     @classmethod
     def from_geodesic(cls, p: Permutation) -> "NcPartition":
@@ -267,11 +265,9 @@ class NcPartition:
         Raises :class:`GeodesicViolationError` unless ``p`` saturates the
         triangle inequality ``length(p) + length(p~ gamma) == n - 1``.
         """
-        n = p.n
-        gamma = Permutation.full_cycle(n)
-        if p.length() + p.inverse().compose(gamma).length() != n - 1:
+        if not _on_geodesic(p.images):
             raise GeodesicViolationError(f"not on the id--gamma geodesic: {p!r}")
-        return cls(n, p.cycles())
+        return cls(p.n, p.cycles())
 
     def kreweras(self) -> "NcPartition":
         """Kreweras complement, computed as p~ * gamma on geodesics."""
@@ -485,56 +481,17 @@ def nc_meet(a: NcPartition, b: NcPartition) -> NcPartition:
     return NcPartition(a.n, list(groups.values()))
 
 
-def _set_partition_join_blocks(a: NcPartition, b: NcPartition) -> list[set[int]]:
-    parent = list(range(a.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for part in (a, b):
-        for blk in part.blocks:
-            for x in blk[1:]:
-                union(blk[0], x)
-    groups: dict[int, set[int]] = {}
-    for x in range(a.n):
-        groups.setdefault(find(x), set()).add(x)
-    return list(groups.values())
-
-
 def nc_join(a: NcPartition, b: NcPartition) -> NcPartition:
-    """Smallest common non-crossing coarsening.
+    """Smallest common non-crossing coarsening, Kr^-1(Kr a ^ Kr b).
 
-    Starts from the set-partition join and merges crossing blocks until
-    none remain; every merge is forced, so the result is the minimum.
+    The Kreweras complement q = p~ gamma reverses the order of NC(n)
+    (Kreweras), and its inverse sends q back to p = gamma q~.
     """
     if a.n != b.n:
         raise SizeMismatchError("different ground sets")
-    blocks = _set_partition_join_blocks(a, b)
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                bi, bj = blocks[i], blocks[j]
-                lo, hi = min(bj), max(bj)
-                inside = any(lo < x < hi for x in bi)
-                outside = any(x < lo or x > hi for x in bi)
-                if inside and outside:
-                    blocks[i] = bi | bj
-                    del blocks[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    return NcPartition(a.n, [sorted(blk) for blk in blocks])
+    meet = nc_meet(a.kreweras(), b.kreweras())
+    p = Permutation.full_cycle(a.n).compose(meet.to_geodesic().inverse())
+    return NcPartition(a.n, p.cycles())
 
 
 def _separators(p: NcPartition) -> int:
@@ -556,13 +513,11 @@ def interval_join(a: NcPartition, b: NcPartition) -> NcPartition:
 
 def kr_interval_meet(q: CombSubset, b: NcPartition) -> NcPartition:
     """Meet inside Kr Int(n): the comb on (Q | {n}) & b(n), singletons
-    elsewhere.  Agrees with nc_meet when b is itself a comb."""
+    elsewhere, whose subset is Q & b(n) because n is not in Q.  Agrees
+    with nc_meet when b is itself a comb."""
     if q.n != b.n:
         raise SizeMismatchError("different ground sets")
-    n = q.n
-    block_n = set(b.block_containing(n - 1))
-    comb = (q.q | {n - 1}) & block_n
-    return CombSubset(n, comb - {n - 1}).to_partition()
+    return CombSubset(q.n, q.q.intersection(b.block_containing(q.n - 1))).to_partition()
 
 
 # ---------------------------------------------------------------------------

@@ -130,10 +130,6 @@ def check_krint_combs(n_max: int = 8) -> CheckResult:
     return name, True, f"{total} partitions, n<={n_max}"
 
 
-def _bitmask(elements: Iterable[int]) -> int:
-    return sum(1 << x for x in elements)
-
-
 def check_kr_interval_meet(n_max: int = 7) -> CheckResult:
     name = "kr-interval-meet-formula"
     checked = 0
@@ -141,14 +137,13 @@ def check_kr_interval_meet(n_max: int = 7) -> CheckResult:
         combs = list(partitions.enumerate_kr_interval(n))
         comb_parts = [c.to_partition() for c in combs]
         ncs = list(partitions.enumerate_nc(n))
-        # a comb lies below a partition iff Q sits inside the block of n
-        c_masks = np.array([_bitmask(c.q) for c in combs], dtype=np.int64)
-        c_sizes = np.array([len(c.q) for c in combs])
-        b_masks = np.array([_bitmask(b.block_containing(n - 1)) for b in ncs],
-                           dtype=np.int64)
-        below_b = (c_masks[:, None] & ~b_masks[None, :]) == 0    # (comb, beta)
-        for q, qp in zip(combs, comb_parts):
-            below_q = (c_masks & ~_bitmask(qp.block_containing(n - 1))) == 0
+        # a comb lies below a partition iff Q sits inside the block of n;
+        # a comb's mask is its Q, and |Q| = n - #blocks
+        comb_side, nc_side = meanders._side("kr-interval", n), meanders._side("nc", n)
+        c_masks, c_sizes = comb_side.masks, n - comb_side.blocks
+        below_b = (c_masks[:, None] & ~nc_side.masks[None, :]) == 0    # (comb, beta)
+        for q, qp, q_mask in zip(combs, comb_parts, c_masks):
+            below_q = (c_masks & ~q_mask) == 0
             # per beta, the first admissible comb of maximal |Q|
             score = np.where(below_b & below_q[:, None], c_sizes[:, None], -1)
             for b, best in zip(ncs, score.argmax(axis=0)):
@@ -170,14 +165,9 @@ def check_meet_join_duality(n_max: int = 7) -> CheckResult:
         ncs = list(partitions.enumerate_nc(n))
         # memoize per distinct object: interval joins are determined by the
         # intersection of separator sets, Kr-interval meets by the block of n
-        sep_masks = []
+        sep_masks = [partitions._separators(p) for p in ncs]
         kr_bn_masks = []
         for p in ncs:
-            straddled = 0
-            for blk in p.blocks:
-                for i in range(blk[0], blk[-1]):
-                    straddled |= 1 << i
-            sep_masks.append(~straddled & ((1 << (n - 1)) - 1))
             bn = p.kreweras().block_containing(n - 1)
             kr_bn_masks.append(sum(1 << i for i in bn if i != n - 1))
         lhs_by_cuts: dict[int, partitions.NcPartition] = {}

@@ -238,6 +238,19 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.parametrize("model,second_map", [
+        ("gue-df", "conjugate"), ("wishart-pt", "same"),
+        ("shallow-top", "conjugate"), ("thin", "same")])
+    def test_second_map_outside_nc_nc_exits_2_before_any_work(self, capsys, monkeypatch,
+                                                              model, second_map):
+        refuse_work(monkeypatch, "simulate")
+        code, out, err = run(capsys, "simulate", model, "2", "2",
+                             "--second-map", second_map)
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "nc-nc only" in lines[0]
+
     @pytest.mark.parametrize("n,l", [("4097", "1"), ("257", "16"), ("1", "65")])
     def test_thin_over_budget_exits_3_before_any_work(self, capsys, monkeypatch, n, l):
         refuse_work(monkeypatch, "simulate")

@@ -429,6 +429,12 @@ class TestEstimate:
             ModelSpec(Model.NC_NC, 0, 2, 4, 10, SEED)
         with pytest.raises(ValueError):
             ModelSpec(Model.NC_NC, 1, 2, 4, 10, SEED, second_map="bogus")
+        # second_map changes the nc-nc model alone; elsewhere it is refused
+        for model in (Model.GUE_DF, Model.WISHART_PT, Model.SHALLOW_TOP, Model.THIN):
+            assert ModelSpec(model, 1, 2, 4, 10, SEED).second_map == "independent"
+            for second_map in ("same", "conjugate"):
+                with pytest.raises(ValueError, match="nc-nc only"):
+                    ModelSpec(model, 1, 2, 4, 10, SEED, second_map=second_map)
         # the thin model checks d and samples like every other model
         with pytest.raises(ValueError):
             ModelSpec(Model.THIN, 2, 2, -1, 10, SEED)

@@ -149,6 +149,27 @@ class TestEnumeration:
             for p in ivs + combs:
                 assert NcPartition(p.n, [list(b) for b in p.blocks]) == p
 
+    def test_constructor_accepts_exactly_nc(self):
+        # every set partition of [n]: accepted iff non-crossing, else ValueError
+        from meandrics.verify import set_partitions
+        for n in range(1, 9):
+            ncs = set(enumerate_nc(n))
+            accepted = 0
+            for blocks in set_partitions(n):
+                zero_based = [[x - 1 for x in b] for b in blocks]
+                crossing = any(a < c < b < d
+                               for x, y in itertools.permutations(zero_based, 2)
+                               for a, b in itertools.combinations(x, 2)
+                               for c, d in itertools.combinations(y, 2))
+                try:
+                    p = NcPartition(n, zero_based)
+                except ValueError as exc:
+                    assert crossing and "blocks cross" in str(exc)
+                    continue
+                assert not crossing and p in ncs
+                accepted += 1
+            assert accepted == len(ncs) == catalan(n)
+
     def test_n1(self):
         assert [p.to_one_based() for p in enumerate_nc(1)] == [[[1]]]
         assert [p.to_one_based() for p in enumerate_interval(1)] == [[[1]]]
