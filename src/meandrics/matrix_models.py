@@ -318,6 +318,7 @@ def _chain_trace_sum(w1: np.ndarray, w2: np.ndarray | None, length: int) -> np.n
     w1: (S, m, d1, d1), w2: (S, m, d2, d2); returns (S,) complex.  w2 None
     stands for w1.conj(): each product and trace of that chain is then
     the exact complex conjugate of the first chain's, so it is not walked.
+    Nor is it when w2 is w1: its traces are then the first chain's.
 
     The products are taken left to right, one letter at a time, and the
     leaf terms are added to the sum one by one in lexicographic order of
@@ -328,9 +329,11 @@ def _chain_trace_sum(w1: np.ndarray, w2: np.ndarray | None, length: int) -> np.n
     ``meanders._ordered_map`` and return their terms in order.
     """
     s_count, m = w1.shape[0], w1.shape[1]
+    walk2 = w2 is not None and w2 is not w1
     if length == 1:
         t1 = np.trace(w1, axis1=2, axis2=3)
-        t2 = t1.conj() if w2 is None else np.trace(w2, axis1=2, axis2=3)
+        t2 = (np.trace(w2, axis1=2, axis2=3) if walk2
+              else t1.conj() if w2 is None else t1)
         return np.sum(t1 * t2, axis=1)
 
     def extend(p: np.ndarray | None, w: np.ndarray, s: int) -> np.ndarray:
@@ -344,13 +347,13 @@ def _chain_trace_sum(w1: np.ndarray, w2: np.ndarray | None, length: int) -> np.n
             if depth == length - 1:
                 for s in range(m):
                     t1 = np.einsum("sij,sji->s", p1, w1[:, s])
-                    t2 = (t1.conj() if w2 is None
-                          else np.einsum("sij,sji->s", p2, w2[:, s]))
+                    t2 = (np.einsum("sij,sji->s", p2, w2[:, s]) if walk2
+                          else t1.conj() if w2 is None else t1)
                     terms.append(t1 * t2)
             else:
                 for s in prefix[depth:depth + 1] if depth < len(prefix) else range(m):
                     descend(depth + 1, extend(p1, w1, s),
-                            None if w2 is None else extend(p2, w2, s))
+                            extend(p2, w2, s) if walk2 else None)
 
         descend(0, None, None)
         return terms

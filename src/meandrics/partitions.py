@@ -186,17 +186,21 @@ def _geodesic_images(blocks: Iterable[Sequence[int]], n: int) -> list[int]:
     return images
 
 
+def _kreweras_images(images: Sequence[int]) -> list[int]:
+    """One-line images of p~ gamma for the full cycle gamma."""
+    inv = [0] * len(images)
+    for i, x in enumerate(images):
+        inv[x] = i
+    # (p~ gamma)(i) = p~(i + 1 mod n)
+    return inv[1:] + inv[:1]
+
+
 def _on_geodesic(images: Sequence[int]) -> bool:
     """Whether p lies on the id--gamma geodesic: #(p) + #(p~ gamma) ==
     n + 1 in cycle counts.  For p built from blocks by
     :func:`_geodesic_images` this holds exactly when the blocks do not
     cross (Biane)."""
-    n = len(images)
-    inv = [0] * n
-    for i, x in enumerate(images):
-        inv[x] = i
-    # (p~ gamma)(i) = p~(i + 1 mod n)
-    return len(_cycles(images)) + len(_cycles(inv[1:] + inv[:1])) == n + 1
+    return len(_cycles(images)) + len(_cycles(_kreweras_images(images))) == len(images) + 1
 
 
 class NcPartition:
@@ -219,9 +223,9 @@ class NcPartition:
     @classmethod
     def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "NcPartition":
         # Internal: caller guarantees canonical non-crossing blocks.  Used
-        # by the enumeration streams and CombSubset.to_partition, whose
-        # output is cross-validated against the checking constructor in
-        # the test suite.
+        # by the enumeration streams, CombSubset.to_partition, kreweras,
+        # nc_meet and nc_join, whose output is cross-validated against the
+        # checking constructor in the test suite.
         out = object.__new__(cls)
         out.n = n
         out.blocks = blocks
@@ -271,9 +275,8 @@ class NcPartition:
 
     def kreweras(self) -> "NcPartition":
         """Kreweras complement, computed as p~ * gamma on geodesics."""
-        p = self.to_geodesic()
-        comp = p.inverse().compose(Permutation.full_cycle(self.n))
-        return NcPartition(self.n, comp.cycles())
+        comp = _kreweras_images(_geodesic_images(self.blocks, self.n))
+        return NcPartition._trusted(self.n, _canonical_blocks(_cycles(comp)))
 
     def fatten(self) -> "NcPartition":
         """The non-crossing pairing of 2n points obtained by doubling.
@@ -478,7 +481,7 @@ def nc_meet(a: NcPartition, b: NcPartition) -> NcPartition:
     groups: dict[tuple[int, int], list[int]] = {}
     for x in range(a.n):
         groups.setdefault((owner_a[x], owner_b[x]), []).append(x)
-    return NcPartition(a.n, list(groups.values()))
+    return NcPartition._trusted(a.n, _canonical_blocks(groups.values()))
 
 
 def nc_join(a: NcPartition, b: NcPartition) -> NcPartition:
@@ -490,8 +493,10 @@ def nc_join(a: NcPartition, b: NcPartition) -> NcPartition:
     if a.n != b.n:
         raise SizeMismatchError("different ground sets")
     meet = nc_meet(a.kreweras(), b.kreweras())
-    p = Permutation.full_cycle(a.n).compose(meet.to_geodesic().inverse())
-    return NcPartition(a.n, p.cycles())
+    p = [0] * a.n
+    for i, x in enumerate(_geodesic_images(meet.blocks, a.n)):
+        p[x] = (i + 1) % a.n        # (gamma q~)(x) = q~(x) + 1
+    return NcPartition._trusted(a.n, _canonical_blocks(_cycles(p)))
 
 
 def _separators(p: NcPartition) -> int:

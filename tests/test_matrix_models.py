@@ -305,6 +305,36 @@ class TestChainTrace:
             # the pool (or the deep split) really ran several subtrees
             assert max(subtrees) > 1
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_same_chain_walked_once(self, monkeypatch, threads):
+        # w2 is w1 (second map "same"): the second chain's products are
+        # not taken, and the sum keeps the bits of walking a copy of w1
+        monkeypatch.setattr(meanders, "_threads", lambda: threads)
+        products = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products.append(1)
+                return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+        def walk(w1, w2, length):
+            products.clear()
+            result = _chain_trace_sum(w1, w2, length)
+            return len(products), result
+
+        rng = np.random.default_rng(SEED)
+        for m, length in [(1, 5), (2, 3), (4, 4)]:
+            w = complex_gaussians(rng, (3, m, 2, 2)).view(Counted)
+            same, same_sum = walk(w, w, length)
+            copied, copied_sum = walk(w, w.copy(), length)
+            conjugate, _ = walk(w, None, length)
+            # words of length L have m^2 + ... + m^(L-1) proper prefixes
+            # past the first letter, one product each
+            assert same == conjugate == sum(m ** k for k in range(2, length)) > 0
+            assert copied == 2 * same
+            assert np.array_equal(same_sum, copied_sum)
+
     @pytest.mark.parametrize("second_map, calls",
                              [("independent", 2), ("same", 1), ("conjugate", 1)])
     def test_nc_nc_builds_letters_once_per_channel(self, monkeypatch, second_map, calls):

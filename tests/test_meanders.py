@@ -75,6 +75,17 @@ class TestLoopCount:
                     got = loop_count(q.to_partition(), r.to_partition())
                     assert got == n - len(q.q ^ r.q)
 
+    def test_cycle_counts_of_arbitrary_permutations(self):
+        from meandrics.meanders import _cycle_counts
+        from meandrics.partitions import Permutation
+        rows = [list(p) for n in range(1, 8) for p in itertools.permutations(range(n))]
+        rng = np.random.default_rng(5)
+        rows += [rng.permutation(16).tolist() for _ in range(2000)]
+        for n in sorted({len(r) for r in rows}):
+            perms = np.array([r for r in rows if len(r) == n], dtype=np.int16)
+            assert _cycle_counts(perms).tolist() == [
+                Permutation(p).cycle_count() for p in perms.tolist()], n
+
     def test_pairwise_kernel_matches_scalar(self):
         rnd = random.Random(3)
         for n in (2, 4, 6, 8):
@@ -325,13 +336,52 @@ class TestOrbitReduction:
             assert _pair_histogram(klass, n) == self.plain_histogram(klass, n), n
         _pair_histogram.cache_clear()
 
+    @pytest.mark.parametrize("klass, n_max", [(MeanderClass.FULL, 8),
+                                              (MeanderClass.THIN, 12)],
+                             ids=lambda v: getattr(v, "value", v))
+    def test_plain_histogram_is_swap_symmetric(self, klass, n_max):
+        # a system and its mirror image have the same loops, since
+        # beta~ alpha is the inverse of alpha~ beta: H[k,a,b] == H[k,b,a]
+        for n in range(1, n_max + 1):
+            side = _side(_CLASS_SIDES[klass][0], n)
+            loops = pairwise_cycle_counts(side.imgs, side.imgs)
+            norm = n - side.blocks
+            base = n + 1
+            cells = (loops * base + norm[:, None]) * base + norm[None, :]
+            hist = np.bincount(cells.ravel(), minlength=base ** 3).reshape(base, base, base)
+            assert (hist == hist.swapaxes(1, 2)).all(), n
+            assert hist.sum() == len(side.imgs) ** 2
+
+    @pytest.mark.parametrize("klass, n", [(MeanderClass.THIN, 12), (MeanderClass.FULL, 9)],
+                             ids=lambda v: getattr(v, "value", v))
+    def test_swap_halves_the_pairs_composed(self, monkeypatch, klass, n):
+        # each representative meets only the B orbits from its own on
+        from meandrics import meanders as mod
+        composed = []
+        cycle_counts = mod._cycle_counts
+
+        def counted(perms):
+            composed.append(len(perms))
+            return cycle_counts(perms)
+
+        monkeypatch.setattr(mod, "_cycle_counts", counted)
+        side = _side(_CLASS_SIDES[klass][0], n)
+        _, sizes = _orbits(side.imgs, side.imgs)
+        _pair_histogram.cache_clear()
+        try:
+            _pair_histogram(klass, n)
+        finally:
+            _pair_histogram.cache_clear()
+        assert sum(composed) <= 0.55 * len(sizes) * len(side.imgs)
+
     def test_full_orbit_counts(self):
         # dihedral orbits of NC(n)
         want = [1, 2, 3, 6, 10, 24, 49, 130, 336, 980]
         for n, count in enumerate(want, 1):
             imgs, _ = _geodesic_rows(enumerate_nc(n))
-            reps, sizes = _orbits(imgs, imgs)
-            assert len(reps) == len(sizes) == count
+            order, sizes = _orbits(imgs, imgs)
+            assert len(sizes) == count
+            assert sorted(order.tolist()) == list(range(catalan(n)))
             assert sizes.sum() == catalan(n)
             assert all((2 * n) % int(s) == 0 for s in sizes)
 
@@ -339,9 +389,9 @@ class TestOrbitReduction:
     def test_orbit_sizes_sum_to_side(self, klass):
         for n in range(1, 11):
             a, b = (_side(kind, n) for kind in _CLASS_SIDES[klass])
-            reps, sizes = _orbits(a.imgs, b.imgs)
+            order, sizes = _orbits(a.imgs, b.imgs)
             assert sizes.sum() == len(a.imgs), n
-            assert len(set(reps.tolist())) == len(reps), n
+            assert sorted(order.tolist()) == list(range(len(a.imgs))), n
             if klass is not MeanderClass.FULL:
                 # reflection alone: Int(n) is not closed under rotation
                 assert set(sizes.tolist()) <= {1, 2}, n

@@ -299,6 +299,23 @@ class TestLattice:
                 assert j in ups and all(j.leq(z) for z in ups)
                 assert m in downs and all(z.leq(m) for z in downs)
 
+    def test_results_equal_the_checking_constructor(self):
+        # kreweras, nc_meet and nc_join build their results unchecked;
+        # each must equal the partition the checking constructor makes
+        # from the same permutation or blockwise intersections
+        for n in range(1, 7):
+            gamma = Permutation.full_cycle(n)
+            ncs = list(enumerate_nc(n))
+            for x in ncs:
+                comp = x.to_geodesic().inverse().compose(gamma)
+                assert x.kreweras() == NcPartition(n, comp.cycles())
+            for x, y in itertools.product(ncs, ncs):
+                meet = NcPartition(n, [set(u) & set(v) for u in x.blocks
+                                       for v in y.blocks if set(u) & set(v)])
+                assert nc_meet(x, y) == meet
+                q = nc_meet(x.kreweras(), y.kreweras()).to_geodesic()
+                assert nc_join(x, y) == NcPartition(n, gamma.compose(q.inverse()).cycles())
+
     def test_kreweras_duality(self):
         for n in range(1, 7):
             ncs = list(enumerate_nc(n))
