@@ -33,18 +33,22 @@ each representative's pairs once per member of its orbit.  The group is
 derived from the two sides: reflection for every class (NC(n), Int(n)
 and the rainbow are closed under it), rotation as well only when both
 sides are closed under it, which is the full class alone.  A side that
-is not closed under reflection is refused, not scanned.
+is not closed under reflection gets the trivial group of single rows:
+no comb side is, so the cumulant scans, which keep only the pairs with
+trivial Kr-interval meet, weigh each pair once.
 
-When both sides are the same kind (the full and thin classes), the scan
-also uses the top/bottom swap: beta~ alpha is the inverse of alpha~ beta,
-so the pair (beta, alpha) has the loops of (alpha, beta) with the two
-norms exchanged.  B is sorted by orbit key and a representative meets
-only the B orbits from its own on; a pair in a later orbit stands for
-itself and its mirror image.  Full n=9 composes 0.80M pairs (1.6M with
-the orbits alone) and thin n=13 4.24M (8.5M).  The pairs that remain
-are still composed and counted one by one; ``pairwise_cycle_counts``
-keeps the plain, unreduced table that verify and the tests compare
-against, and the Kreweras-side cumulant scans stay plain.
+When both sides are the same kind (the full and thin classes, and the
+Kr thin cumulant scan), the scan also uses the top/bottom swap: beta~
+alpha is the inverse of alpha~ beta, so the pair (beta, alpha) has the
+loops of (alpha, beta) with the two exponents exchanged, and the meet
+filter is symmetric.  B is sorted by orbit key and a representative
+meets only the B orbits from its own on; a pair in a later orbit stands
+for itself and its mirror image.  Full n=9 composes 0.80M pairs (1.6M
+with the orbits alone), thin n=13 4.24M (8.5M) and Kr thin n=12 2.10M
+(4.19M).  One reducer, ``_pair_histogram``, serves every class and
+cumulant scan.  The pairs that remain are still composed and counted
+one by one; ``pairwise_cycle_counts`` keeps the plain, unreduced table
+that verify and the tests compare against.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from .partitions import (
     CombSubset,
     NcPartition,
     SizeMismatchError,
+    _geodesic_images,
     enumerate_interval,
     enumerate_kr_interval,
     enumerate_nc,
@@ -230,11 +235,13 @@ def _ordered_map(fn: Callable[[_T], _R], items: Sequence[_T]) -> Iterator[_R]:
 
 
 def _geodesic_rows(parts: Iterable[NcPartition]) -> tuple[np.ndarray, np.ndarray]:
-    """One-line images and block counts for a family of partitions."""
+    """One-line images and block counts for a family of partitions.  The
+    images are read straight from the blocks, which every NcPartition
+    holds non-crossing, so they need no Permutation check."""
     images = []
     nblocks = []
     for part in parts:
-        images.append(part.to_geodesic().images)
+        images.append(_geodesic_images(part.blocks, part.n))
         nblocks.append(part.block_count())
     return np.array(images, dtype=np.int16), np.array(nblocks, dtype=np.int64)
 
@@ -319,11 +326,12 @@ def _generator_moves(imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _orbits(a_imgs: np.ndarray, b_imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The A rows in orbit order, and each orbit's size.
 
-    The orbits are those of the symmetry group of the pair of sides: the
-    dihedral group when both sides are closed under rotation, else the
-    reflection alone; a side not closed under reflection raises
-    ValueError.  A row's orbit key is the smallest partition key over its
-    2n (or 2) images, which are found by following each generator from
+    The orbits are those of the symmetry group of the pair of sides,
+    generated by each of rotation and reflection under which both sides
+    are closed: the dihedral group for the full class, the reflection for
+    the other classes and the trivial group of single rows for the
+    cumulant scans.  A row's orbit key is the smallest partition key
+    over its images, which are found by following each generator from
     row to row.  The rows of one orbit are contiguous, orbits in
     increasing order of key, so orbit i is order[first:first + sizes[i]]
     for first the sum of the sizes before it."""
@@ -331,10 +339,8 @@ def _orbits(a_imgs: np.ndarray, b_imgs: np.ndarray) -> tuple[np.ndarray, np.ndar
     keys, moves = _generator_moves(a_imgs)
     _, b_moves = _generator_moves(b_imgs)
     rotate, reflect = (moves >= 0).all(axis=1) & (b_moves >= 0).all(axis=1)
-    if not reflect:
-        raise ValueError("a side of the scan is not closed under reflection")
     orbit = keys
-    for rows in (np.arange(len(keys)), moves[1]):
+    for rows in (np.arange(len(keys)), moves[1])[:1 + reflect]:
         for _ in range(n if rotate else 1):
             orbit = np.minimum(orbit, keys[rows])
             rows = moves[0][rows]
@@ -414,29 +420,6 @@ def _cells(total: np.ndarray) -> dict[tuple[int, int, int], int]:
             for k, a, b in zip(*np.nonzero(total))}
 
 
-def _pair_scan(a_imgs: np.ndarray, a_stat: np.ndarray, b_imgs: np.ndarray,
-               b_stat: np.ndarray, n: int,
-               a_masks: np.ndarray | None = None,
-               b_masks: np.ndarray | None = None) -> dict[tuple[int, int, int], int]:
-    """Joint histogram over all pairs of (#cycles(a~ b), a_stat, b_stat).
-
-    When masks are given, only pairs with a_mask & b_mask == 0 are kept
-    (the trivial-meet filter of the cumulant sums).  Each chunk is reduced
-    to its own histogram, so no (MA, MB) array is ever held.
-    """
-    base = n + 1
-    a_idx = a_stat * base
-
-    def histogram(rows: slice, cols: slice, counts: np.ndarray) -> np.ndarray:
-        idx = counts * base * base + a_idx[rows, None] + b_stat[None, cols]
-        if a_masks is not None and b_masks is not None:
-            idx = idx[(a_masks[rows, None] & b_masks[None, cols]) == 0]
-        return np.bincount(idx.ravel(), minlength=base ** 3)
-
-    total = np.sum(_scan_pairs(a_imgs, b_imgs, histogram), axis=0, dtype=np.int64)
-    return _cells(total.reshape(base, base, base))
-
-
 def pairwise_cycle_counts(a_imgs: np.ndarray, b_imgs: np.ndarray) -> np.ndarray:
     """(MA, MB) array of #cycles(alpha~ beta) for one-line image rows."""
     blocks = _scan_pairs(a_imgs, b_imgs, lambda rows, cols, counts: counts)
@@ -460,15 +443,23 @@ _KR_SIDES: dict[MeanderClass, tuple[str, str]] = {
 
 
 @lru_cache(maxsize=None)
-def _pair_histogram(klass: MeanderClass, n: int) -> Mapping[tuple[int, int, int], int]:
-    """{(loops, ||alpha||, ||beta||): count} over all class pairs.
+def _pair_histogram(klass: MeanderClass, n: int,
+                    kr: bool = False) -> Mapping[tuple[int, int, int], int]:
+    """{(loops, ||alpha||, ||beta||): count} over all class pairs, or with
+    kr over the cumulant pairs of ``_KR_SIDES`` whose Kr-interval meet is
+    trivial, keyed (loops, #blocks(alpha) - 1, #blocks(beta) - 1).
 
     Scans one A row per symmetry orbit, in increasing order of orbit key,
     and counts each of its pairs once per member of the orbit.  When
     both sides are the same kind, B is sorted by orbit key and a row
     meets only the B orbits from its own on: a pair in a later orbit
-    counts as (k, a, b) and, for its mirror image, as (k, b, a)."""
-    top, bottom = _CLASS_SIDES[klass]
+    counts as (k, a, b) and, for its mirror image, as (k, b, a).
+
+    The cumulant scans drop each pair whose block-of-n masks meet (a
+    comb's mask is its Q).  No comb side is closed under reflection, so
+    their orbits are single rows and the filter needs no orbit weight;
+    the swap of Kr thin keeps it, since the masks meet symmetrically."""
+    top, bottom = (_KR_SIDES if kr else _CLASS_SIDES)[klass]
     a, b = _side(top, n), _side(bottom, n)
     order, sizes = _orbits(a.imgs, b.imgs)
     last = np.cumsum(sizes)
@@ -486,20 +477,29 @@ def _pair_histogram(klass: MeanderClass, n: int) -> Mapping[tuple[int, int, int]
     weights, size_idx = np.unique(sizes, return_inverse=True)
     base = n + 1
     label = len(weights) * base ** 3
-    cell_a = (n - a.blocks[reps]) * base + size_idx * base ** 3
-    b_stat = (n - b.blocks)[b_rows]
+    # Kr-side exponents: ||alpha~ 1_n|| = n - 1 - ||alpha|| = #blocks - 1
+    a_stat, b_stat = (s.blocks - 1 if kr else n - s.blocks for s in (a, b))
+    cell_a = a_stat[reps] * base + size_idx * base ** 3
+    b_stat = b_stat[b_rows]
+    a_masks, b_masks = a.masks[reps], b.masks[b_rows]
 
     def histogram(rows: slice, cols: slice, counts: np.ndarray) -> np.ndarray:
         # cells (label, size, k, a, b); label 0: a pair before the row's
-        # own orbit, not composed; 1: counted once; 2: counted with its
-        # mirror image
+        # own orbit, not composed, or a cumulant pair whose masks meet;
+        # 1: counted once; 2: counted with its mirror image
         col = np.arange(cols.start, cols.stop)
         idx = counts                # the chunk's own table, turned into cells
         idx *= base * base
         idx += cell_a[rows, None]
         idx += b_stat[None, cols]
-        np.add(idx, label, out=idx, where=col >= first[rows, None])
-        np.add(idx, label, out=idx, where=col >= last[rows, None])
+        own = col >= first[rows, None]
+        later = col >= last[rows, None]
+        if kr:
+            trivial = (a_masks[rows, None] & b_masks[None, cols]) == 0
+            own &= trivial
+            later &= trivial
+        np.add(idx, label, out=idx, where=own)
+        np.add(idx, label, out=idx, where=later)
         cells = np.bincount(idx.ravel(), minlength=3 * label)
         cells = cells.reshape(3, len(weights), base, base, base)
         cells = cells[1] + cells[2] + cells[2].swapaxes(2, 3)
@@ -529,16 +529,6 @@ def generating_coefficient(klass: MeanderClass, n: int,
     return LaurentPoly({(n - k, a, b): c for (k, a, b), c in hist.items()})
 
 
-@lru_cache(maxsize=None)
-def _kr_pair_histogram(klass: MeanderClass, n: int) -> Mapping[tuple[int, int, int], int]:
-    a, b = (_side(kind, n) for kind in _KR_SIDES[klass])
-    # Kr-side exponents: ||alpha~ 1_n|| = n - 1 - ||alpha|| = #blocks - 1,
-    # same for beta.  A comb's block-of-n mask is its Q, so the masks keep
-    # the pairs with trivial Kr-interval meet.
-    return _pair_scan(a.imgs, a.blocks - 1, b.imgs, b.blocks - 1, n,
-                      a_masks=a.masks, b_masks=b.masks)
-
-
 def cumulant_coefficient(klass: MeanderClass, n: int,
                          budget: int | None = None) -> LaurentPoly:
     """Sum over Kr Int(n) x Kr L(n) pairs with trivial Kr-interval meet of
@@ -547,7 +537,7 @@ def cumulant_coefficient(klass: MeanderClass, n: int,
         raise ValueError("cumulant coefficients exist for thin and "
                          "shallow-top classes only")
     _check_budget(klass, n, budget)
-    hist = _kr_pair_histogram(klass, n)
+    hist = _pair_histogram(klass, n, kr=True)
     return LaurentPoly({(n - k, a, b): c for (k, a, b), c in hist.items()})
 
 

@@ -25,10 +25,10 @@ from meandrics.meanders import (
 )
 from meandrics.meanders import (
     _CLASS_SIDES,
+    _KR_SIDES,
     _geodesic_rows,
     _orbits,
     _pair_histogram,
-    _pair_scan,
     _side,
 )
 from meandrics.partitions import (
@@ -40,6 +40,18 @@ from meandrics.partitions import (
     enumerate_nc,
 )
 from meandrics.transforms import A, B, LaurentPoly, ONE, Y
+
+
+def plain_histogram(a_imgs, a_stat, b_imgs, b_stat, keep=None):
+    """{(loops, a_stat, b_stat): count} over the pairs of the plain table,
+    or over those where keep is set."""
+    loops = pairwise_cycle_counts(a_imgs, b_imgs)
+    if keep is None:
+        keep = np.ones(loops.shape, dtype=bool)
+    a_stat = np.broadcast_to(a_stat[:, None], loops.shape)
+    b_stat = np.broadcast_to(b_stat[None, :], loops.shape)
+    return dict(Counter(zip(loops[keep].tolist(), a_stat[keep].tolist(),
+                            b_stat[keep].tolist())))
 
 
 class TestLoopCount:
@@ -220,8 +232,8 @@ class TestGeneratingCoefficient:
                     b_parts = a_parts
                 a_imgs, a_blocks = _geodesic_rows(a_parts)
                 b_imgs, b_blocks = _geodesic_rows(b_parts)
-                hist = _pair_scan(a_imgs, (n - 1) - (n - a_blocks),
-                                  b_imgs, (n - 1) - (n - b_blocks), n)
+                hist = plain_histogram(a_imgs, (n - 1) - (n - a_blocks),
+                                       b_imgs, (n - 1) - (n - b_blocks))
                 primed = LaurentPoly({(n - k, a, b): c
                                       for (k, a, b), c in hist.items()})
                 assert primed == generating_coefficient(klass, n)
@@ -313,27 +325,29 @@ class TestClosedCounts:
 
 
 class TestOrbitReduction:
-    """The class scans take one A row per symmetry orbit; every count must
-    equal the plain pair-by-pair table."""
+    """The class and cumulant scans take one A row per symmetry orbit;
+    every count must equal the plain pair-by-pair table."""
 
     @staticmethod
-    def plain_histogram(klass, n):
-        a, b = (_side(kind, n) for kind in _CLASS_SIDES[klass])
-        loops = pairwise_cycle_counts(a.imgs, b.imgs)
-        a_norm = np.broadcast_to((n - a.blocks)[:, None], loops.shape)
-        b_norm = np.broadcast_to((n - b.blocks)[None, :], loops.shape)
-        return dict(Counter(zip(loops.ravel().tolist(), a_norm.ravel().tolist(),
-                                b_norm.ravel().tolist())))
+    def plain_histogram(klass, n, kr=False):
+        a, b = (_side(kind, n) for kind in (_KR_SIDES if kr else _CLASS_SIDES)[klass])
+        if kr:
+            # Kr-side exponents, over the pairs with trivial Kr-interval meet
+            return plain_histogram(a.imgs, a.blocks - 1, b.imgs, b.blocks - 1,
+                                   (a.masks[:, None] & b.masks[None, :]) == 0)
+        return plain_histogram(a.imgs, n - a.blocks, b.imgs, n - b.blocks)
 
-    @pytest.mark.parametrize("klass, n_max", [(MeanderClass.FULL, 8),
-                                              (MeanderClass.SHALLOW_TOP, 9),
-                                              (MeanderClass.THIN, 12),
-                                              (MeanderClass.SEMI, 16)],
-                             ids=lambda v: getattr(v, "value", v))
-    def test_reduced_equals_plain(self, klass, n_max):
+    @pytest.mark.parametrize("klass, n_max, kr", [
+        pytest.param(MeanderClass.FULL, 8, False, id="full-8"),
+        pytest.param(MeanderClass.SHALLOW_TOP, 9, False, id="shallow-top-9"),
+        pytest.param(MeanderClass.THIN, 12, False, id="thin-12"),
+        pytest.param(MeanderClass.SEMI, 16, False, id="semi-16"),
+        pytest.param(MeanderClass.THIN, 10, True, id="kr-thin-10"),
+        pytest.param(MeanderClass.SHALLOW_TOP, 8, True, id="kr-shallow-top-8")])
+    def test_reduced_equals_plain(self, klass, n_max, kr):
         for n in range(1, n_max + 1):
             _pair_histogram.cache_clear()
-            assert _pair_histogram(klass, n) == self.plain_histogram(klass, n), n
+            assert _pair_histogram(klass, n, kr) == self.plain_histogram(klass, n, kr), n
         _pair_histogram.cache_clear()
 
     @pytest.mark.parametrize("klass, n_max", [(MeanderClass.FULL, 8),
@@ -352,9 +366,11 @@ class TestOrbitReduction:
             assert (hist == hist.swapaxes(1, 2)).all(), n
             assert hist.sum() == len(side.imgs) ** 2
 
-    @pytest.mark.parametrize("klass, n", [(MeanderClass.THIN, 12), (MeanderClass.FULL, 9)],
-                             ids=lambda v: getattr(v, "value", v))
-    def test_swap_halves_the_pairs_composed(self, monkeypatch, klass, n):
+    @pytest.mark.parametrize("klass, n, kr", [
+        pytest.param(MeanderClass.THIN, 12, False, id="thin-12"),
+        pytest.param(MeanderClass.FULL, 9, False, id="full-9"),
+        pytest.param(MeanderClass.THIN, 12, True, id="kr-thin-12")])
+    def test_swap_halves_the_pairs_composed(self, monkeypatch, klass, n, kr):
         # each representative meets only the B orbits from its own on
         from meandrics import meanders as mod
         composed = []
@@ -365,11 +381,11 @@ class TestOrbitReduction:
             return cycle_counts(perms)
 
         monkeypatch.setattr(mod, "_cycle_counts", counted)
-        side = _side(_CLASS_SIDES[klass][0], n)
+        side = _side((_KR_SIDES if kr else _CLASS_SIDES)[klass][0], n)
         _, sizes = _orbits(side.imgs, side.imgs)
         _pair_histogram.cache_clear()
         try:
-            _pair_histogram(klass, n)
+            _pair_histogram(klass, n, kr)
         finally:
             _pair_histogram.cache_clear()
         assert sum(composed) <= 0.55 * len(sizes) * len(side.imgs)
@@ -396,14 +412,19 @@ class TestOrbitReduction:
                 # reflection alone: Int(n) is not closed under rotation
                 assert set(sizes.tolist()) <= {1, 2}, n
 
-    def test_side_not_closed_under_reflection_raises(self):
+    def test_side_not_closed_under_reflection_gets_trivial_group(self):
+        # single-row orbits are what keep the cumulant scans' mask filter
+        # sound: a mask is not carried along an orbit
         a_imgs, _ = _geodesic_rows(enumerate_interval(4))
         lopsided = NcPartition.from_one_based(4, [[1, 2], [3], [4]])
         b_imgs, _ = _geodesic_rows([lopsided])
-        with pytest.raises(ValueError):
-            _orbits(a_imgs, b_imgs)
-        with pytest.raises(ValueError):
-            _orbits(b_imgs, a_imgs)
+        pairs = [(a_imgs, b_imgs), (b_imgs, a_imgs)]
+        pairs += [tuple(_side(kind, n).imgs for kind in sides)
+                  for sides in _KR_SIDES.values() for n in range(1, 11)]
+        for top, bottom in pairs:
+            order, sizes = _orbits(top, bottom)
+            assert sizes.tolist() == [1] * len(top)
+            assert sorted(order.tolist()) == list(range(len(top)))
 
     def test_full_n9_meander_numbers(self):
         # one-loop coefficients: the meander numbers (OEIS A005315)
@@ -421,7 +442,7 @@ class TestSideTable:
     @staticmethod
     def clear_caches():
         from meandrics import meanders as mod
-        for cached in (mod._side, mod._pair_histogram, mod._kr_pair_histogram):
+        for cached in (mod._side, mod._pair_histogram):
             cached.cache_clear()
 
     @pytest.mark.parametrize("klass, n, enumerator", [
