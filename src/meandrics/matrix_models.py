@@ -82,6 +82,9 @@ class ModelSpec:
             raise ValueError("d must be >= 2")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if not 0 <= self.seed <= _MASK64:
+            # sample_stream keys Philox with the low 64 bits of the seed
+            raise ValueError(f"seed must be in 0..{_MASK64}, not {self.seed}")
         if self.second_map not in ("independent", "same", "conjugate"):
             raise ValueError(f"unknown second_map {self.second_map!r}")
         if self.second_map != "independent" and self.model is not Model.NC_NC:

@@ -14,6 +14,10 @@ Conventions used throughout the package:
   n - 1`` for the full cycle ``gamma = (1, 2, ..., n)``; these are exactly
   the permutations whose cycles, read increasingly, are the blocks of a
   non-crossing partition.
+- ``enumerate_nc`` streams NC(n) in the order of the Dyck words of the
+  fattened pairings (1 = open), lexicographic with 1 before 0: from the
+  rainbow to the singletons.  It is the row order of every NC side table
+  in :mod:`meandrics.meanders`.
 """
 
 from __future__ import annotations
@@ -223,9 +227,9 @@ class NcPartition:
     @classmethod
     def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "NcPartition":
         # Internal: caller guarantees canonical non-crossing blocks.  Used
-        # by the enumeration streams, CombSubset.to_partition, kreweras,
-        # nc_meet and nc_join, whose output is cross-validated against the
-        # checking constructor in the test suite.
+        # by the enumeration streams, from_geodesic, CombSubset.to_partition,
+        # kreweras, nc_meet, nc_join and interval_join, whose output is
+        # cross-validated against the checking constructor in the test suite.
         out = object.__new__(cls)
         out.n = n
         out.blocks = blocks
@@ -271,7 +275,8 @@ class NcPartition:
         """
         if not _on_geodesic(p.images):
             raise GeodesicViolationError(f"not on the id--gamma geodesic: {p!r}")
-        return cls(p.n, p.cycles())
+        # a geodesic's cycles, read from their minima, are canonical blocks
+        return cls._trusted(p.n, p.cycles())
 
     def kreweras(self) -> "NcPartition":
         """Kreweras complement, computed as p~ * gamma on geodesics."""
@@ -369,70 +374,52 @@ class CombSubset:
 # Enumeration (iterative, streaming)
 # ---------------------------------------------------------------------------
 
-def _next_dyck(word: list[int]) -> bool:
-    """Advance a balanced 0/1 word (1 = open) to its lexicographic
-    successor in place, treating 1 < 0.  Returns False from the last
-    word 1010...; the first word is 1...10...0.
-    """
-    n2 = len(word)
-    suffix_balance = 0
-    ones_suffix = 0
-    for i in range(n2 - 1, -1, -1):
-        if word[i] == 1:
-            suffix_balance += 1
-            ones_suffix += 1
-            # prefix balance is -suffix_balance; flipping 1 -> 0 here keeps
-            # the word a ballot sequence iff that balance stays >= 0
-            if suffix_balance <= -1:
-                word[i] = 0
-                for j in range(i + 1, i + 1 + ones_suffix):
-                    word[j] = 1
-                for j in range(i + 1 + ones_suffix, n2):
-                    word[j] = 0
-                return True
-        else:
-            suffix_balance -= 1
-    return False
-
-
-def _dyck_words(n: int) -> Iterator[list[int]]:
-    word = [1] * n + [0] * n
-    yield word
-    while _next_dyck(word):
-        yield word
-
-
-def _pairing_from_dyck(word: Sequence[int]) -> list[tuple[int, int]]:
-    stack: list[int] = []
-    pairs = []
-    for i, w in enumerate(word):
-        if w == 1:
-            stack.append(i)
-        else:
-            pairs.append((stack.pop(), i))
-    return pairs
+def _close(images: list[int], stack: list[int], trail: list[int]) -> None:
+    """Close the innermost open arch at the next point, len(trail)."""
+    a, b = stack.pop(), len(trail)
+    trail.append(a)
+    # each arch joins one right copy 2i+1 and one left copy 2j: p(i) = j
+    i, j = (a // 2, b // 2) if a % 2 else (b // 2, a // 2)
+    images[i] = j
 
 
 def enumerate_nc(n: int) -> Iterator[NcPartition]:
     """Stream all non-crossing partitions of [n]; Catalan(n) of them.
 
-    Iterates Dyck words by lexicographic successor and un-fattens the
-    induced non-crossing pairing of 2n points, so nothing is materialized.
+    Walks the arches of the fattened pairing on 2n points depth first,
+    opening an arch before closing one, so the Dyck words (1 = open)
+    come in lexicographic order with 1 before 0: from the rainbow
+    1...10...0 to the singletons 1010...  The walk keeps an explicit
+    stack, so no n meets the recursion limit, and holds O(n) state.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    for word in _dyck_words(n):
-        images = [0] * n
-        for a, b in _pairing_from_dyck(word):
-            # each pair joins one even (left copy, 2j) and one odd point
-            # (right copy, 2i+1); it encodes p(i) = j
-            if a % 2 == 1:
-                i, j = a // 2, b // 2
+    images = [0] * n
+    stack: list[int] = []   # left ends of the open arches, innermost last
+    trail: list[int] = []   # per point: -1 if it opens, else the left end it closes
+    while True:
+        while len(trail) < 2 * n:
+            # fewer than n opened: opens - closes == len(stack) and
+            # opens + closes == len(trail)
+            if len(trail) + len(stack) < 2 * n:
+                stack.append(len(trail))
+                trail.append(-1)
             else:
-                i, j = b // 2, a // 2
-            images[i] = j
+                _close(images, stack, trail)
         # cycles, discovered at their minima, are the canonical blocks
         yield NcPartition._trusted(n, _cycles(images))
+        # back up to the last opening that could have closed instead
+        while trail:
+            a = trail.pop()
+            if a >= 0:
+                stack.append(a)
+            else:
+                stack.pop()
+                if stack:
+                    _close(images, stack, trail)
+                    break
+        if not trail:
+            return
 
 
 def _interval_blocks(n: int, cuts: int) -> tuple[tuple[int, ...], ...]:
@@ -513,7 +500,7 @@ def interval_join(a: NcPartition, b: NcPartition) -> NcPartition:
     if a.n != b.n:
         raise SizeMismatchError("different ground sets")
     cuts = _separators(a) & _separators(b)
-    return NcPartition(a.n, _interval_blocks(a.n, cuts))
+    return NcPartition._trusted(a.n, _interval_blocks(a.n, cuts))
 
 
 def kr_interval_meet(q: CombSubset, b: NcPartition) -> NcPartition:

@@ -238,6 +238,17 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_64_bits_exits_2_before_any_work(self, capsys, monkeypatch, seed):
+        # Philox takes 64 bits of seed: 2^64 would reuse seed 0's streams
+        refuse_work(monkeypatch, "simulate")
+        code, out, err = run(capsys, "simulate", "nc-nc", "2", "2",
+                             "--samples", "2", "--seed", seed)
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "seed must be in 0.." in lines[0]
+
     @pytest.mark.parametrize("model,second_map", [
         ("gue-df", "conjugate"), ("wishart-pt", "same"),
         ("shallow-top", "conjugate"), ("thin", "same")])

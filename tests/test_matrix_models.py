@@ -470,6 +470,12 @@ class TestEstimate:
             ModelSpec(Model.THIN, 2, 2, -1, 10, SEED)
         with pytest.raises(ValueError):
             ModelSpec(Model.THIN, 2, 2, 8, -5, SEED)
+        # the seed keys Philox in 64 bits; it is refused outside them
+        for seed in (0, 2 ** 64 - 1):
+            assert ModelSpec(Model.NC_NC, 2, 2, 4, 10, seed).seed == seed
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="seed must be in 0.."):
+                ModelSpec(Model.NC_NC, 2, 2, 4, 10, seed)
 
     def test_second_map_variants(self):
         # the replacement remark: same-G and conjugate-G limits agree with

@@ -25,6 +25,7 @@ from meandrics.partitions import (
     permutation_to_json,
     refinement_leq,
 )
+from meandrics.meanders import rainbow
 
 
 def catalan_reference(n):
@@ -132,6 +133,28 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_nc(n)) == catalan(n)
         assert sum(1 for _ in enumerate_interval(n)) == 2 ** (n - 1)
         assert sum(1 for _ in enumerate_kr_interval(n)) == 2 ** (n - 1)
+
+    @staticmethod
+    def dyck_word(p):
+        # point k of the fattened pairing reads 1 when it opens its pair
+        opens = {b[0] for b in p.fatten().blocks}
+        return tuple(int(k in opens) for k in range(2 * p.n))
+
+    def test_nc_order_is_decreasing_dyck_words(self):
+        # with the Catalan count, this fixes the whole sequence
+        for n in range(1, 10):
+            words = [self.dyck_word(p) for p in enumerate_nc(n)]
+            assert all(a > b for a, b in zip(words, words[1:]))
+
+    def test_nc_order_runs_from_rainbow_to_singletons(self):
+        for n in range(1, 12):
+            parts = list(enumerate_nc(n))
+            assert parts[0] == rainbow(n)
+            assert parts[-1] == NcPartition.singletons(n)
+
+    def test_nc_walk_does_not_recurse(self):
+        # a recursive walk raises RecursionError long before n = 600
+        assert next(enumerate_nc(600)) == rainbow(600)
 
     def test_no_duplicates_and_valid(self):
         for n in range(1, 9):
