@@ -33,7 +33,7 @@ import json
 import sys
 from typing import Iterator, Sequence, TextIO
 
-from . import matrix_models, meanders, partitions, transforms, verify
+from . import matrix_models, meanders, transforms, verify
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -102,7 +102,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     with _output(args.out) as out:
         count = 0
         for part in meanders.side_partitions(args.kind, n):
-            out.write(json.dumps(partitions.partition_to_json(part)) + "\n")
+            out.write(json.dumps(part.to_one_based()) + "\n")
             count += 1
         out.write(json.dumps({"count": count}) + "\n")
     return EXIT_OK

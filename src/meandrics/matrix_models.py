@@ -505,7 +505,8 @@ TRACE_MULADDS = 60 * 10 ** 9
 TRACE_CELLS = 1 << 24
 
 
-def _trace_cost(model: Model, n: int, l: int, d: int, samples: int) -> tuple[int, int]:
+def _trace_cost(model: Model, n: int, l: int, d: int, samples: int,
+                second_map: str) -> tuple[int, int]:
     """(multiply-adds, complex cells) of a sampled model's trace by the
     model above.  The cells are the operands and what the walk holds per
     sample and chain: one product per level of the word tree, or for
@@ -514,18 +515,22 @@ def _trace_cost(model: Model, n: int, l: int, d: int, samples: int) -> tuple[int
         m, length, dim, chains, held = l, 2 * n, d, 1, l + 2 * n
     elif model is Model.SHALLOW_TOP:
         m, length, dim, chains, held = 1, n, d * l, 1, 5
-    else:                           # two chains over the l^2 blocks
-        m, length, dim, chains, held = l * l, n, d, 2, l * l + n
+    else:                           # chains over the l^2 blocks
+        m, length, dim, held = l * l, n, d, l * l + n
+        # same and conjugate letters walk only the first chain
+        chains = 2 if second_map == "independent" else 1
     nodes = length if m == 1 else (m ** (length + 1) - m) // (m - 1)
     call = TRACE_CALL + samples * (TRACE_SAMPLE + dim ** 3)
     return chains * nodes * call, chains * samples * dim * dim * held
 
 
-def trace_budget(model: Model, l: int, d: int, samples: int) -> int:
+def trace_budget(model: Model, l: int, d: int, samples: int,
+                 second_map: str = "independent") -> int:
     """Largest n whose trace is within TRACE_MULADDS and TRACE_CELLS at
-    these l, d and samples; 0 when even n = 1 is over budget."""
+    these l, d and samples (and for nc-nc, second_map); 0 when even
+    n = 1 is over budget."""
     def within(n: int) -> bool:
-        muladds, cells = _trace_cost(model, n, l, d, samples)
+        muladds, cells = _trace_cost(model, n, l, d, samples, second_map)
         return muladds <= TRACE_MULADDS and cells <= TRACE_CELLS
 
     lo, hi = 0, 1           # within(lo) holds, or lo is 0
@@ -543,7 +548,8 @@ def check_trace_budget(spec: ModelSpec) -> None:
     if spec.model is not Model.THIN:
         _check_cap(f"{spec.model.value} trace for l={spec.l}, d={spec.d}, "
                    f"{spec.samples} samples", spec.n,
-                   trace_budget(spec.model, spec.l, spec.d, spec.samples))
+                   trace_budget(spec.model, spec.l, spec.d, spec.samples,
+                                spec.second_map))
 
 
 def exact_target(model: Model, n: int, l: int) -> int:

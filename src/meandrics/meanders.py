@@ -71,7 +71,6 @@ from .partitions import (
     CombSubset,
     NcPartition,
     SizeMismatchError,
-    _geodesic_images,
     enumerate_interval,
     enumerate_kr_interval,
     enumerate_nc,
@@ -235,15 +234,11 @@ def _ordered_map(fn: Callable[[_T], _R], items: Sequence[_T]) -> Iterator[_R]:
 
 
 def _geodesic_rows(parts: Iterable[NcPartition]) -> tuple[np.ndarray, np.ndarray]:
-    """One-line images and block counts for a family of partitions.  The
-    images are read straight from the blocks, which every NcPartition
-    holds non-crossing, so they need no Permutation check."""
-    images = []
-    nblocks = []
-    for part in parts:
-        images.append(_geodesic_images(part.blocks, part.n))
-        nblocks.append(part.block_count())
-    return np.array(images, dtype=np.int16), np.array(nblocks, dtype=np.int64)
+    """One-line geodesic images and block counts for a family of
+    partitions.  The images are each partition's own, so they need no
+    Permutation check, and the block counts are their cycle counts."""
+    imgs = np.array([part.images for part in parts], dtype=np.int16)
+    return imgs, _cycle_counts(imgs)
 
 
 def side_partitions(kind: str, n: int) -> Iterator[NcPartition]:
@@ -262,6 +257,16 @@ def side_partitions(kind: str, n: int) -> Iterator[NcPartition]:
     raise ValueError(f"unknown side kind {kind!r}")
 
 
+def _last_block_mask(images: Sequence[int]) -> int:
+    """Bitmask of the block of n - 1, without n - 1, read from geodesic
+    images: the cycle of n - 1 climbs from the block's minimum to n - 1."""
+    last = len(images) - 1
+    mask, i = 0, images[last]
+    while i != last:
+        mask, i = mask | 1 << i, images[i]
+    return mask
+
+
 class Side(NamedTuple):
     """Read-only rows of one side; row i is the i-th partition of
     ``side_partitions``."""
@@ -276,8 +281,7 @@ def _side(kind: str, n: int) -> Side:
     """The side table of (kind, n), built once and shared by every scan."""
     parts = list(side_partitions(kind, n))
     imgs, blocks = _geodesic_rows(parts)
-    masks = np.array([sum(1 << i for i in p.block_containing(n - 1) if i != n - 1)
-                      for p in parts], dtype=np.int64)
+    masks = np.array([_last_block_mask(p.images) for p in parts], dtype=np.int64)
     for arr in (imgs, blocks, masks):
         arr.setflags(write=False)
     return Side(imgs, blocks, masks)

@@ -5,9 +5,11 @@ Conventions used throughout the package:
 - Permutations are stored in one-line ("word") notation as a tuple of
   0-based images: ``p.images[i] = p(i)``.  Composition is ``(p * q)(i) =
   p(q(i))``.
-- Partitions of ``{1, ..., n}`` are stored 0-based internally, as a tuple
-  of blocks sorted by their minimum, each block an increasing tuple.  All
-  serialization and cycle/block notation at the boundary is 1-based.
+- Partitions of ``{1, ..., n}`` are stored 0-based internally, as the
+  one-line images of their geodesic permutation (below), which determine
+  them.  Their blocks, read from its cycles, are a tuple sorted by
+  minimum, each block an increasing tuple.  All serialization and
+  cycle/block notation at the boundary is 1-based.
 - ``length`` of a permutation is the minimal number of transpositions
   whose product is the permutation, which equals ``n - cycle_count``.
 - A geodesic permutation is one with ``length(p) + length(p~ * gamma) ==
@@ -208,9 +210,14 @@ def _on_geodesic(images: Sequence[int]) -> bool:
 
 
 class NcPartition:
-    """A non-crossing partition of {0, ..., n-1} in canonical block form."""
+    """A non-crossing partition of {0, ..., n-1}, held as the one-line
+    images of its geodesic permutation: each block, read increasingly,
+    is one cycle."""
 
-    __slots__ = ("n", "blocks")
+    # images: the geodesic's one-line images, which determine the
+    # partition; _blocks: its canonical blocks, read from the cycles on
+    # first use.
+    __slots__ = ("images", "_blocks")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         if n < 1:
@@ -219,21 +226,35 @@ class NcPartition:
         cover = sorted(x for b in canon for x in b)
         if cover != list(range(n)):
             raise ValueError(f"blocks do not partition 0..{n - 1}: {canon}")
-        if not _on_geodesic(_geodesic_images(canon, n)):
+        images = _geodesic_images(canon, n)
+        if not _on_geodesic(images):
             raise ValueError(f"blocks cross: {canon}")
-        self.n = n
-        self.blocks = canon
+        self.images = tuple(images)
+        self._blocks = canon
 
     @classmethod
-    def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "NcPartition":
-        # Internal: caller guarantees canonical non-crossing blocks.  Used
-        # by the enumeration streams, from_geodesic, CombSubset.to_partition,
-        # kreweras, nc_meet, nc_join and interval_join, whose output is
-        # cross-validated against the checking constructor in the test suite.
+    def _trusted(cls, images: Sequence[int]) -> "NcPartition":
+        # Internal: caller guarantees the images of a geodesic permutation.
+        # Used by the enumeration streams, from_geodesic,
+        # CombSubset.to_partition, kreweras, nc_meet, nc_join and
+        # interval_join, whose output the test suite compares with the
+        # checking constructor's.
         out = object.__new__(cls)
-        out.n = n
-        out.blocks = blocks
+        out.images = tuple(images)
+        out._blocks = None
         return out
+
+    @property
+    def n(self) -> int:
+        return len(self.images)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Canonical blocks: the geodesic's cycles, each read from its
+        minimum, are increasing and come in order of minimum."""
+        if self._blocks is None:
+            self._blocks = _cycles(self.images)
+        return self._blocks
 
     @classmethod
     def from_one_based(cls, n: int, blocks: Iterable[Iterable[int]]) -> "NcPartition":
@@ -264,7 +285,7 @@ class NcPartition:
 
     def to_geodesic(self) -> Permutation:
         """The permutation whose cycles are the blocks, elements increasing."""
-        return Permutation(_geodesic_images(self.blocks, self.n))
+        return Permutation(self.images)
 
     @classmethod
     def from_geodesic(cls, p: Permutation) -> "NcPartition":
@@ -275,13 +296,12 @@ class NcPartition:
         """
         if not _on_geodesic(p.images):
             raise GeodesicViolationError(f"not on the id--gamma geodesic: {p!r}")
-        # a geodesic's cycles, read from their minima, are canonical blocks
-        return cls._trusted(p.n, p.cycles())
+        # p is the geodesic, so its images are the partition
+        return cls._trusted(p.images)
 
     def kreweras(self) -> "NcPartition":
         """Kreweras complement, computed as p~ * gamma on geodesics."""
-        comp = _kreweras_images(_geodesic_images(self.blocks, self.n))
-        return NcPartition._trusted(self.n, _canonical_blocks(_cycles(comp)))
+        return NcPartition._trusted(_kreweras_images(self.images))
 
     def fatten(self) -> "NcPartition":
         """The non-crossing pairing of 2n points obtained by doubling.
@@ -290,8 +310,7 @@ class NcPartition:
         copy); the right copy of i is paired with the left copy of p(i)
         for the geodesic permutation p.
         """
-        p = self.to_geodesic()
-        pairs = [(2 * i + 1, 2 * p(i)) for i in range(self.n)]
+        pairs = [(2 * i + 1, 2 * j) for i, j in enumerate(self.images)]
         return NcPartition(2 * self.n, [sorted(pr) for pr in pairs])
 
     def leq(self, other: "NcPartition") -> bool:
@@ -303,14 +322,14 @@ class NcPartition:
         return all(len({owner[x] for x in b}) == 1 for b in self.blocks)
 
     def to_one_based(self) -> list[list[int]]:
+        """Sorted 1-based block lists, e.g. [[1,4,5],[2,3]]."""
         return [[x + 1 for x in b] for b in self.blocks]
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, NcPartition)
-                and self.n == other.n and self.blocks == other.blocks)
+        return isinstance(other, NcPartition) and self.images == other.images
 
     def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
+        return hash(self.images)
 
     def __repr__(self) -> str:
         body = "".join("{" + ",".join(str(x + 1) for x in b) + "}" for b in self.blocks)
@@ -349,12 +368,9 @@ class CombSubset:
         return cls(part.n, q)
 
     def to_partition(self) -> NcPartition:
-        # A comb never crosses.  The singletons below min(comb) are exactly
-        # 0..min(comb)-1, so inserting the comb there keeps canonical order.
+        # a comb never crosses, and the singletons are fixed points
         comb = (*sorted(self.q), self.n - 1)
-        blocks = [(i,) for i in range(self.n - 1) if i not in self.q]
-        blocks.insert(comb[0], comb)
-        return NcPartition._trusted(self.n, tuple(blocks))
+        return NcPartition._trusted(_geodesic_images([comb], self.n))
 
     def to_geodesic(self) -> Permutation:
         return self.to_partition().to_geodesic()
@@ -406,8 +422,7 @@ def enumerate_nc(n: int) -> Iterator[NcPartition]:
                 trail.append(-1)
             else:
                 _close(images, stack, trail)
-        # cycles, discovered at their minima, are the canonical blocks
-        yield NcPartition._trusted(n, _cycles(images))
+        yield NcPartition._trusted(images)
         # back up to the last opening that could have closed instead
         while trail:
             a = trail.pop()
@@ -422,17 +437,17 @@ def enumerate_nc(n: int) -> Iterator[NcPartition]:
             return
 
 
-def _interval_blocks(n: int, cuts: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical blocks of the interval partition of 0..n-1 cut after
-    every i whose bit is set in the mask cuts."""
-    blocks = []
+def _interval_images(n: int, cuts: int) -> list[int]:
+    """Geodesic images of the interval partition of 0..n-1 cut after
+    every i whose bit is set in the mask cuts: i -> i + 1 inside a block,
+    and its last element back to its first."""
+    images = list(range(1, n + 1))
     start = 0
-    for i in range(n - 1):
-        if cuts >> i & 1:
-            blocks.append(tuple(range(start, i + 1)))
+    for i in range(n):
+        if cuts >> i & 1 or i == n - 1:
+            images[i] = start
             start = i + 1
-    blocks.append(tuple(range(start, n)))
-    return tuple(blocks)
+    return images
 
 
 def enumerate_interval(n: int) -> Iterator[NcPartition]:
@@ -440,7 +455,7 @@ def enumerate_interval(n: int) -> Iterator[NcPartition]:
     if n < 1:
         raise ValueError("n must be >= 1")
     for cuts in range(1 << (n - 1)):
-        yield NcPartition._trusted(n, _interval_blocks(n, cuts))
+        yield NcPartition._trusted(_interval_images(n, cuts))
 
 
 def enumerate_kr_interval(n: int) -> Iterator[CombSubset]:
@@ -468,7 +483,7 @@ def nc_meet(a: NcPartition, b: NcPartition) -> NcPartition:
     groups: dict[tuple[int, int], list[int]] = {}
     for x in range(a.n):
         groups.setdefault((owner_a[x], owner_b[x]), []).append(x)
-    return NcPartition._trusted(a.n, _canonical_blocks(groups.values()))
+    return NcPartition._trusted(_geodesic_images(groups.values(), a.n))
 
 
 def nc_join(a: NcPartition, b: NcPartition) -> NcPartition:
@@ -481,9 +496,9 @@ def nc_join(a: NcPartition, b: NcPartition) -> NcPartition:
         raise SizeMismatchError("different ground sets")
     meet = nc_meet(a.kreweras(), b.kreweras())
     p = [0] * a.n
-    for i, x in enumerate(_geodesic_images(meet.blocks, a.n)):
+    for i, x in enumerate(meet.images):
         p[x] = (i + 1) % a.n        # (gamma q~)(x) = q~(x) + 1
-    return NcPartition._trusted(a.n, _canonical_blocks(_cycles(p)))
+    return NcPartition._trusted(p)
 
 
 def _separators(p: NcPartition) -> int:
@@ -500,7 +515,7 @@ def interval_join(a: NcPartition, b: NcPartition) -> NcPartition:
     if a.n != b.n:
         raise SizeMismatchError("different ground sets")
     cuts = _separators(a) & _separators(b)
-    return NcPartition._trusted(a.n, _interval_blocks(a.n, cuts))
+    return NcPartition._trusted(_interval_images(a.n, cuts))
 
 
 def kr_interval_meet(q: CombSubset, b: NcPartition) -> NcPartition:
@@ -516,19 +531,6 @@ def kr_interval_meet(q: CombSubset, b: NcPartition) -> NcPartition:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def partition_to_json(p: NcPartition) -> list[list[int]]:
-    """Sorted 1-based block lists, e.g. [[1,4,5],[2,3]]."""
-    return p.to_one_based()
-
-
 def partition_from_json(blocks: list[list[int]]) -> NcPartition:
     n = max(x for b in blocks for x in b)
     return NcPartition.from_one_based(n, blocks)
-
-
-def permutation_to_json(p: Permutation) -> list[int]:
-    return list(p.one_based())
-
-
-def permutation_from_json(images: list[int]) -> Permutation:
-    return Permutation.from_one_based(images)

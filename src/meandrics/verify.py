@@ -166,10 +166,7 @@ def check_meet_join_duality(n_max: int = 7) -> CheckResult:
         # memoize per distinct object: interval joins are determined by the
         # intersection of separator sets, Kr-interval meets by the block of n
         sep_masks = [partitions._separators(p) for p in ncs]
-        kr_bn_masks = []
-        for p in ncs:
-            bn = p.kreweras().block_containing(n - 1)
-            kr_bn_masks.append(sum(1 << i for i in bn if i != n - 1))
+        kr_bn_masks = [meanders._last_block_mask(p.kreweras().images) for p in ncs]
         lhs_by_cuts: dict[int, partitions.NcPartition] = {}
         rhs_by_q: dict[int, partitions.NcPartition] = {}
         for xi, x in enumerate(ncs):

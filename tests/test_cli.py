@@ -276,6 +276,9 @@ class TestSimulate:
                      "gue-df trace for l=2, d=8, 400 samples at n=9", id="gue-df"),
         pytest.param(("nc-nc", "5", "3", "--d", "4,8"),
                      "nc-nc trace for l=3, d=8, 400 samples at n=5", id="nc-nc"),
+        pytest.param(("nc-nc", "8", "2", "--d", "8", "--second-map", "independent"),
+                     "nc-nc trace for l=2, d=8, 400 samples at n=8 exceeds budget 7",
+                     id="nc-nc-independent"),
         pytest.param(("shallow-top", "1", "16", "--d", "64", "--samples", "4000"),
                      "shallow-top trace for l=16, d=64, 4000 samples at n=1",
                      id="shallow-top")])

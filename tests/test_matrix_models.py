@@ -373,6 +373,19 @@ class TestTraceBudget:
         # one letter: the cost grows linearly in n, and the budget is finite
         assert 0 < trace_budget(Model.GUE_DF, 1, 2, 1) < 10 ** 8
 
+    def test_nc_nc_charges_the_second_chain_only_when_walked(self):
+        # same and conjugate letters walk one chain (_chain_trace_sum)
+        for l, d, two, one in ((2, 8, 7, 8), (3, 8, 4, 5), (2, 16, 6, 7)):
+            assert trace_budget(Model.NC_NC, l, d, 400) == two
+            assert trace_budget(Model.NC_NC, l, d, 400, "independent") == two
+            for second_map in ("same", "conjugate"):
+                assert trace_budget(Model.NC_NC, l, d, 400, second_map) == one
+        for second_map in ("same", "conjugate"):
+            check_trace_budget(ModelSpec(Model.NC_NC, 8, 2, 8, 400, SEED,
+                                         second_map=second_map))
+        with pytest.raises(ResourceLimitError, match="at n=8 exceeds budget 7"):
+            check_trace_budget(ModelSpec(Model.NC_NC, 8, 2, 8, 400, SEED))
+
     def test_estimate_refuses_over_budget(self):
         spec = ModelSpec(Model.GUE_DF, 9, 2, 8, 400, SEED)
         with pytest.raises(ResourceLimitError,

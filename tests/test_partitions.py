@@ -11,6 +11,7 @@ from meandrics.partitions import (
     NcPartition,
     Permutation,
     SizeMismatchError,
+    _geodesic_images,
     catalan,
     enumerate_interval,
     enumerate_kr_interval,
@@ -20,9 +21,6 @@ from meandrics.partitions import (
     nc_join,
     nc_meet,
     partition_from_json,
-    partition_to_json,
-    permutation_from_json,
-    permutation_to_json,
     refinement_leq,
 )
 from meandrics.meanders import rainbow
@@ -123,8 +121,8 @@ class TestPermutation:
 
     def test_serialization(self):
         p = Permutation.from_cycles(5, [(1, 4, 5), (2, 3)])
-        assert permutation_to_json(p) == [4, 3, 2, 5, 1]
-        assert permutation_from_json([4, 3, 2, 5, 1]) == p
+        assert list(p.one_based()) == [4, 3, 2, 5, 1]
+        assert Permutation.from_one_based([4, 3, 2, 5, 1]) == p
 
 
 class TestEnumeration:
@@ -322,10 +320,19 @@ class TestLattice:
                 assert j in ups and all(j.leq(z) for z in ups)
                 assert m in downs and all(z.leq(m) for z in downs)
 
+    @staticmethod
+    def assert_checked(r):
+        # the images are the geodesic of the blocks read from them, and
+        # the checking constructor accepts those blocks as they are
+        checked = NcPartition(r.n, r.blocks)
+        assert r.images == tuple(_geodesic_images(r.blocks, r.n))
+        assert r == checked and r.blocks == checked.blocks
+
     def test_results_equal_the_checking_constructor(self):
         # kreweras, nc_meet and nc_join build their results unchecked;
         # each must equal the partition the checking constructor makes
-        # from the same permutation or blockwise intersections
+        # from the same permutation or blockwise intersections.  So must
+        # every other path that builds its result with _trusted.
         for n in range(1, 7):
             gamma = Permutation.full_cycle(n)
             ncs = list(enumerate_nc(n))
@@ -338,6 +345,13 @@ class TestLattice:
                 assert nc_meet(x, y) == meet
                 q = nc_meet(x.kreweras(), y.kreweras()).to_geodesic()
                 assert nc_join(x, y) == NcPartition(n, gamma.compose(q.inverse()).cycles())
+                for r in (nc_meet(x, y), nc_join(x, y), interval_join(x, y)):
+                    self.assert_checked(r)
+            combs = [q.to_partition() for q in enumerate_kr_interval(n)]
+            for r in ncs + list(enumerate_interval(n)) + combs:
+                self.assert_checked(r)
+                self.assert_checked(r.kreweras())
+                self.assert_checked(NcPartition.from_geodesic(r.to_geodesic()))
 
     def test_kreweras_duality(self):
         for n in range(1, 7):
@@ -420,11 +434,11 @@ class TestCombSubset:
 class TestSerialization:
     def test_partition_json(self):
         p = NcPartition.from_one_based(5, [[1, 4, 5], [2, 3]])
-        assert partition_to_json(p) == [[1, 4, 5], [2, 3]]
+        assert p.to_one_based() == [[1, 4, 5], [2, 3]]
         assert partition_from_json([[1, 4, 5], [2, 3]]) == p
-        assert json.dumps(partition_to_json(p)) == "[[1, 4, 5], [2, 3]]"
+        assert json.dumps(p.to_one_based()) == "[[1, 4, 5], [2, 3]]"
 
     def test_round_trip_all_small(self):
         for n in range(1, 7):
             for p in enumerate_nc(n):
-                assert partition_from_json(partition_to_json(p)) == p
+                assert partition_from_json(p.to_one_based()) == p
