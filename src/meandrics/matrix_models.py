@@ -35,6 +35,9 @@ for nc-nc with ``second_map="conjugate"`` the second chain is the exact
 complex conjugate of the first and is not walked; nc-nc with
 ``second_map="same"`` builds the letters once and uses them for both
 chains.  ``trace_budget`` bounds each trace by a measured cost model.
+``estimate`` evaluates the samples in batches of bounded size, so its
+memory does not grow with their number, and the results are the same
+to the bit at every split.
 """
 
 from __future__ import annotations
@@ -358,7 +361,13 @@ def _chain_trace_sum(w1: np.ndarray, w2: np.ndarray | None, length: int) -> np.n
                     descend(depth + 1, extend(p1, w1, s),
                             extend(p2, w2, s) if walk2 else None)
 
-        descend(0, None, None)
+        # descend holds itself in its closure cell; clearing the cell
+        # breaks that cycle, which would keep w1 and w2 alive after the
+        # return until the cyclic collector ran
+        try:
+            descend(0, None, None)
+        finally:
+            del descend
         return terms
 
     depth = 0
@@ -494,11 +503,14 @@ def check_target_budget(model: Model, n: int, l: int) -> None:
 # TRACE_SAMPLE (0.35 us) and D^3 for a product of two D x D matrices.  A
 # trace may cost TRACE_MULADDS (30 s), and hold (``_trace_cost``) at
 # most TRACE_CELLS complex numbers, 256 MiB; each further
-# MEANDER_THREADS worker holds its own products.  Integers, so that no
-# size overflows a float.  The model overestimates: gue-df at n=5, l=2,
-# d=32 and 100 samples, the largest trace of the benchmark, is 3.4 s by
-# the model and took 1.3 s; wishart-pt at n=5, l=2, d=32, 400 samples is
-# 18 s and took 12 s for the whole estimate.
+# MEANDER_THREADS worker holds its own products.  The cells are counted
+# for all samples at once, though ``estimate`` holds one batch of at
+# most _BATCH_CELLS of them at a time, so for several batches that term
+# over-counts by their number.  Integers, so that no size overflows a
+# float.  The model overestimates: gue-df at n=5, l=2, d=32 and 100
+# samples, the largest trace of the benchmark, is 3.4 s by the model and
+# took 1.3 s; wishart-pt at n=5, l=2, d=32, 400 samples is 18 s and took
+# 12 s for the whole estimate.
 TRACE_CALL = 8_000
 TRACE_SAMPLE = 700
 TRACE_MULADDS = 60 * 10 ** 9
@@ -510,7 +522,9 @@ def _trace_cost(model: Model, n: int, l: int, d: int, samples: int,
     """(multiply-adds, complex cells) of a sampled model's trace by the
     model above.  The cells are the operands and what the walk holds per
     sample and chain: one product per level of the word tree, or for
-    shallow-top Z0, Z and two powers of Z."""
+    shallow-top Z0, Z and two powers of Z.  They are summed over all
+    samples, which over-counts what ``estimate`` holds, one batch of
+    samples at a time; with samples=1 they size its batches."""
     if model is Model.GUE_DF:       # one conjugate chain over the l B_i
         m, length, dim, chains, held = l, 2 * n, d, 1, l + 2 * n
     elif model is Model.SHALLOW_TOP:
@@ -559,6 +573,31 @@ def exact_target(model: Model, n: int, l: int) -> int:
     return meander_polynomial(klass, n).evaluate(l)
 
 
+# The complex cells, counted by _trace_cost, that one batch of estimate's
+# samples may hold: 2^18, 4 MiB, so a run's memory does not grow with its
+# samples.  Measured on 2 cores (medians of 3, MEANDER_THREADS=2) with
+# the benchmark jobs `simulate gue-df 5 2 --samples 100` and `nc-nc 2 2
+# --samples 1000`, both at --d 8,16,32: from 2^18 to 2^20 cells the wall
+# times are flat (1.5 and 3.0-3.3 s) while the nc-nc peak RSS grows from
+# 45 to 67 MB (391 MB in one batch); 2^16 made gue-df 1.3x slower and
+# 2^14 4x, as each batch repeats the word tree's numpy calls.
+_BATCH_CELLS = 1 << 18
+
+
+def _batched_stats(spec: ModelSpec, indices: np.ndarray, retry: int) -> np.ndarray:
+    """The model's statistics of the samples in indices, evaluated in
+    consecutive batches of at most _BATCH_CELLS cells and at least one
+    sample, so that one batch's draws and letters are held at a time.
+    Each sample's statistic is computed from its own stream by
+    per-sample numpy calls, so the result has the same bits as one batch
+    of all the indices."""
+    stats_fn = _STATS[spec.model]
+    cells = _trace_cost(spec.model, spec.n, spec.l, spec.d, 1, spec.second_map)[1]
+    size = max(1, _BATCH_CELLS // cells)
+    return np.concatenate([stats_fn(spec, indices[i:i + size], retry)
+                           for i in range(0, len(indices), size)])
+
+
 def estimate(spec: ModelSpec) -> EstimateReport:
     """Monte Carlo estimate of the model's trace functional (exact for
     the thin model).  Deterministic given the spec, including the seed."""
@@ -567,9 +606,8 @@ def estimate(spec: ModelSpec) -> EstimateReport:
     if spec.model is Model.THIN:
         return EstimateReport(spec.model, spec.n, spec.l, spec.d, 0,
                               spec.seed, float(target), 0.0, target)
-    stats_fn = _STATS[spec.model]
     indices = np.arange(spec.samples)
-    stats = stats_fn(spec, indices, 0)
+    stats = _batched_stats(spec, indices, 0)
     bad = ~np.isfinite(stats)
     retry = resamples = 0
     while bad.any() and retry < 5:
@@ -577,7 +615,7 @@ def estimate(spec: ModelSpec) -> EstimateReport:
         resamples += int(bad.sum())
         logger.warning("model %s: resampling %d non-finite samples (retry %d)",
                        spec.model.value, int(bad.sum()), retry)
-        stats[bad] = stats_fn(spec, indices[bad], retry)
+        stats[bad] = _batched_stats(spec, indices[bad], retry)
         bad = ~np.isfinite(stats)
     if bad.any():
         raise FloatingPointError("non-finite samples persisted after retries")

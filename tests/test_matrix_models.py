@@ -1,5 +1,8 @@
+import gc
 import itertools
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -347,6 +350,27 @@ class TestChainTrace:
         _stats_nc_nc(spec, np.arange(3), 0)
         assert len(seen) == calls
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_letters_freed_on_return(self, monkeypatch, threads):
+        # the walk leaves no reference cycle: with the cyclic collector
+        # off, the letters go as soon as the caller drops them
+        monkeypatch.setattr(meanders, "_threads", lambda: threads)
+        rng = np.random.default_rng(SEED)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for second in ("conjugate", "same", "independent"):
+                w1 = complex_gaussians(rng, (3, 2, 4, 4))
+                w2 = {"conjugate": None, "same": w1,
+                      "independent": complex_gaussians(rng, (3, 2, 4, 4))}[second]
+                refs = [weakref.ref(w) for w in (w1, w2) if w is not None]
+                _chain_trace_sum(w1, w2, 3)
+                del w1, w2
+                assert [r() for r in refs] == [None] * len(refs), second
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_conjugate_chain_is_bitwise_conjugate(self):
         rng = np.random.default_rng(SEED)
         for _ in range(200):
@@ -354,6 +378,78 @@ class TestChainTrace:
             assert np.array_equal(a.conj() @ b.conj(), (a @ b).conj())
             assert np.array_equal(np.einsum("sij,sji->s", a.conj(), b.conj()),
                                   np.einsum("sij,sji->s", a, b).conj())
+
+
+_BATCH_SPECS = [ModelSpec(Model.GUE_DF, 2, 2, 4, 7, SEED),
+                ModelSpec(Model.WISHART_PT, 2, 2, 4, 7, SEED),
+                ModelSpec(Model.SHALLOW_TOP, 3, 2, 4, 7, SEED)] + [
+    ModelSpec(Model.NC_NC, 2, 2, 4, 7, SEED, second_map=second_map)
+    for second_map in ("independent", "same", "conjugate")]
+
+
+class TestBatches:
+    """estimate evaluates its samples in batches of at most _BATCH_CELLS
+    cells, and the split changes no bit of its results."""
+
+    @staticmethod
+    def counted(monkeypatch, model):
+        """The sizes of the batches passed to the model's _STATS entry."""
+        stats_fn, sizes = _STATS[model], []
+        monkeypatch.setitem(_STATS, model, lambda spec, indices, retry: (
+            sizes.append(len(indices)) or stats_fn(spec, indices, retry)))
+        return sizes
+
+    @pytest.mark.parametrize("spec", _BATCH_SPECS,
+                             ids=lambda s: f"{s.model.value}-{s.second_map}")
+    def test_split_keeps_the_bits(self, monkeypatch, spec):
+        sizes = self.counted(monkeypatch, spec.model)
+        monkeypatch.setattr(matrix_models, "_BATCH_CELLS", 1)
+        single = estimate(spec)
+        assert sizes == [1] * spec.samples
+        sizes.clear()
+        monkeypatch.setattr(matrix_models, "_BATCH_CELLS", 1 << 62)
+        whole = estimate(spec)
+        assert sizes == [spec.samples]
+        assert (single.mean, single.stderr) == (whole.mean, whole.stderr)
+
+    def test_resamples_in_a_later_batch(self, monkeypatch):
+        spec = ModelSpec(Model.NC_NC, 2, 2, 4, 9, SEED)
+        cells = matrix_models._trace_cost(Model.NC_NC, 2, 2, 4, 1, "independent")[1]
+        monkeypatch.setattr(matrix_models, "_BATCH_CELLS", 4 * cells)
+        stats_fn, calls = _STATS[Model.NC_NC], []
+
+        def nan_in_second_batch(spec, indices, retry):
+            stats = stats_fn(spec, indices, retry)
+            if retry == 0 and indices[0] == 4:
+                stats[[1, 3]] = np.nan          # samples 5 and 7
+            calls.append((indices.tolist(), retry))
+            return stats
+
+        monkeypatch.setitem(_STATS, Model.NC_NC, nan_in_second_batch)
+        rep = estimate(spec)
+        assert calls == [([0, 1, 2, 3], 0), ([4, 5, 6, 7], 0), ([8], 0),
+                         ([5, 7], 1)]
+        assert rep.resamples == 2
+        # samples 5 and 7 come from their retry-1 streams, the rest from
+        # their first ones
+        want = stats_fn(spec, np.arange(9), 0)
+        want[[5, 7]] = stats_fn(spec, np.array([5, 7]), 1)
+        assert rep.mean == float(want.mean())
+        assert rep.stderr == float(want.std(ddof=1) / 3)
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        # 400 samples are 2 batches and 1600 are 5 at nc-nc n=2, l=2,
+        # d=8; held in one batch, 1600 samples peaked at 4x 400's
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                estimate(ModelSpec(Model.NC_NC, 2, 2, 8, samples, SEED))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(400), peak(1600)
+        assert large <= 1.1 * small
 
 
 class TestTraceBudget:
