@@ -22,7 +22,7 @@ arguments (and seed); warnings go to stderr so stdout stays stable.
 The MEANDER_THREADS environment variable caps the worker threads of
 every pair scan (loop polynomials, generating and cumulant coefficients,
 and the pairwise cycle counts behind ``verify``) and of the Monte Carlo
-trace of ``simulate``; output does not depend on it.
+sample batches and traces of ``simulate``; output does not depend on it.
 """
 
 from __future__ import annotations

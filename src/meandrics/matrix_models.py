@@ -35,9 +35,13 @@ for nc-nc with ``second_map="conjugate"`` the second chain is the exact
 complex conjugate of the first and is not walked; nc-nc with
 ``second_map="same"`` builds the letters once and uses them for both
 chains.  ``trace_budget`` bounds each trace by a measured cost model.
-``estimate`` evaluates the samples in batches of bounded size, so its
-memory does not grow with their number, and the results are the same
-to the bit at every split.
+``estimate`` evaluates the samples in batches on the same pool, at most
+MEANDER_THREADS of them at once and of bounded size together, so its
+memory grows with neither their number nor the thread count, and the
+results are the same to the bit at every split.  The pool does not
+nest: a batch that runs on a worker walks its word tree on that worker,
+and only a spec whose samples fit one batch splits its tree over the
+pool.
 """
 
 from __future__ import annotations
@@ -332,7 +336,9 @@ def _chain_trace_sum(w1: np.ndarray, w2: np.ndarray | None, length: int) -> np.n
     to the bit.  The word tree is split at the first depth with at least
     MEANDER_THREADS subtrees (deeper while a subtree would hold more than
     _SUBTREE_TERMS terms); the subtrees run on the pool of
-    ``meanders._ordered_map`` and return their terms in order.
+    ``meanders._ordered_map`` and return their terms in order.  Called
+    on one of that pool's workers, as for one of several sample batches,
+    the subtrees run inline on that worker.
     """
     s_count, m = w1.shape[0], w1.shape[1]
     walk2 = w2 is not None and w2 is not w1
@@ -387,8 +393,11 @@ def _phi_blocks(g: np.ndarray) -> np.ndarray:
     U_i is conj(G[i]) reshaped d x d and g is (S, l, d^2)."""
     s_count, l, d2 = g.shape
     d = math.isqrt(d2)
-    u = g.conj().reshape(s_count, l, d, d)
-    blocks = np.einsum("sipa,sjpb->sijab", u, u.conj())
+    # u[s, i, a, p] = conj(G[s, i, p d + a]), contiguous in p: einsum
+    # adds the p terms in the same order as over the strided
+    # "sipa,sjpb" layout, to the same bits, in about half the time
+    u = np.ascontiguousarray(g.conj().reshape(s_count, l, d, d).transpose(0, 1, 3, 2))
+    blocks = np.einsum("siap,sjbp->sijab", u, u.conj())
     return blocks.reshape(s_count, l * l, d, d)
 
 
@@ -502,12 +511,13 @@ def check_target_budget(model: Model, n: int, l: int) -> None:
 # costing about TRACE_CALL of them (4 us), plus per sample about
 # TRACE_SAMPLE (0.35 us) and D^3 for a product of two D x D matrices.  A
 # trace may cost TRACE_MULADDS (30 s), and hold (``_trace_cost``) at
-# most TRACE_CELLS complex numbers, 256 MiB; each further
-# MEANDER_THREADS worker holds its own products.  The cells are counted
-# for all samples at once, though ``estimate`` holds one batch of at
-# most _BATCH_CELLS of them at a time, so for several batches that term
-# over-counts by their number.  Integers, so that no size overflows a
-# float.  The model overestimates: gue-df at n=5, l=2, d=32 and 100
+# most TRACE_CELLS complex numbers, 256 MiB; when one batch's word tree
+# is split over the pool, each further MEANDER_THREADS worker holds its
+# own products.  The cells are counted for all samples at once, though
+# ``estimate`` holds at most _BATCH_CELLS of them at a time, over all
+# the batches in flight, so for several batches that term over-counts
+# by their number.  Integers, so that no size overflows a float.  The
+# model overestimates: gue-df at n=5, l=2, d=32 and 100
 # samples, the largest trace of the benchmark, is 3.4 s by the model and
 # took 1.3 s; wishart-pt at n=5, l=2, d=32, 400 samples is 18 s and took
 # 12 s for the whole estimate.
@@ -573,29 +583,36 @@ def exact_target(model: Model, n: int, l: int) -> int:
     return meander_polynomial(klass, n).evaluate(l)
 
 
-# The complex cells, counted by _trace_cost, that one batch of estimate's
-# samples may hold: 2^18, 4 MiB, so a run's memory does not grow with its
-# samples.  Measured on 2 cores (medians of 3, MEANDER_THREADS=2) with
-# the benchmark jobs `simulate gue-df 5 2 --samples 100` and `nc-nc 2 2
-# --samples 1000`, both at --d 8,16,32: from 2^18 to 2^20 cells the wall
-# times are flat (1.5 and 3.0-3.3 s) while the nc-nc peak RSS grows from
-# 45 to 67 MB (391 MB in one batch); 2^16 made gue-df 1.3x slower and
-# 2^14 4x, as each batch repeats the word tree's numpy calls.
+# The complex cells, counted by _trace_cost, that the batches of
+# estimate's samples in flight may hold together: 2^18, 4 MiB, so a
+# run's memory grows with neither its samples nor MEANDER_THREADS, each
+# of whose workers holds one batch of at most 2^18 / MEANDER_THREADS
+# cells.  Measured on 2 cores (medians of 3, MEANDER_THREADS=2) with the
+# benchmark jobs `simulate gue-df 5 2 --samples 100` and `nc-nc 2 2
+# --samples 1000`, both at --d 8,16,32, each through cli.main in its own
+# process: at 2^18 cells they take 1.16 and 1.33 s and nc-nc peaks at
+# 45 MB; 2^19 and 2^20 are no faster (gue-df 1.25 and 1.40 s, nc-nc
+# 1.32 s) while the nc-nc peak grows to 52 and 67 MB; 2^17 made gue-df
+# 1.3x slower and 2^16 2.2x, as each batch repeats the word tree's numpy
+# calls.
 _BATCH_CELLS = 1 << 18
 
 
 def _batched_stats(spec: ModelSpec, indices: np.ndarray, retry: int) -> np.ndarray:
     """The model's statistics of the samples in indices, evaluated in
-    consecutive batches of at most _BATCH_CELLS cells and at least one
-    sample, so that one batch's draws and letters are held at a time.
-    Each sample's statistic is computed from its own stream by
-    per-sample numpy calls, so the result has the same bits as one batch
-    of all the indices."""
+    consecutive batches of at most _BATCH_CELLS / MEANDER_THREADS cells
+    and at least one sample, mapped over the pool of
+    ``meanders._ordered_map`` and concatenated in order, so that at most
+    MEANDER_THREADS batches' draws and letters are held at a time.  Each
+    sample's statistic is computed from its own stream by per-sample
+    numpy calls, so the result has the same bits as one batch of all the
+    indices on one thread."""
     stats_fn = _STATS[spec.model]
     cells = _trace_cost(spec.model, spec.n, spec.l, spec.d, 1, spec.second_map)[1]
-    size = max(1, _BATCH_CELLS // cells)
-    return np.concatenate([stats_fn(spec, indices[i:i + size], retry)
-                           for i in range(0, len(indices), size)])
+    size = max(1, _BATCH_CELLS // meanders._threads() // cells)
+    batches = [indices[i:i + size] for i in range(0, len(indices), size)]
+    return np.concatenate(list(meanders._ordered_map(
+        lambda batch: stats_fn(spec, batch, retry), batches)))
 
 
 def estimate(spec: ModelSpec) -> EstimateReport:

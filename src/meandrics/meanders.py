@@ -56,6 +56,7 @@ from __future__ import annotations
 import enum
 import os
 import sys
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -212,6 +213,10 @@ def _thread_count(raw: str | None) -> int:
     return want
 
 
+# marked on the worker threads of _ordered_map's pools
+_pool_worker = threading.local()
+
+
 def _ordered_map(fn: Callable[[_T], _R], items: Sequence[_T]) -> Iterator[_R]:
     """fn(item) for each item, yielded in item order.
 
@@ -219,13 +224,17 @@ def _ordered_map(fn: Callable[[_T], _R], items: Sequence[_T]) -> Iterator[_R]:
     at once on worker threads, and the next call is started only when
     the oldest result is taken, so at most that many calls are running
     or done and waiting.  With one worker or one item the calls run on
-    the calling thread."""
+    the calling thread, and so do they when that thread is itself one of
+    the pool's workers: the pool does not nest, so no more than
+    MEANDER_THREADS workers compute at once."""
     workers = min(_threads(), len(items))
-    if workers <= 1:
+    if workers <= 1 or getattr(_pool_worker, "marked", False):
         yield from map(fn, items)
         return
     rest = iter(items)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers,
+                            initializer=setattr,
+                            initargs=(_pool_worker, "marked", True)) as pool:
         window = deque(pool.submit(fn, item) for item in islice(rest, workers))
         while window:
             result = window.popleft().result()

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import threading
 import tracemalloc
 import weakref
 
@@ -371,6 +372,23 @@ class TestChainTrace:
             if enabled:
                 gc.enable()
 
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_phi_blocks_keep_the_plain_einsum_bits(self, l):
+        # the contiguous layout adds the same terms in the same order;
+        # signed zeros in G check the sign of zero sums too
+        rng = np.random.default_rng(SEED + l)
+        for d, s_count in itertools.product((2, 3, 8), (1, 5)):
+            g = complex_gaussians(rng, (s_count, l, d * d))
+            zero = rng.random(g.shape)
+            g[zero < 0.2] = complex(-0.0, 0.0)
+            g[zero > 0.8] = complex(0.0, -0.0)
+            u = g.conj().reshape(s_count, l, d, d)
+            want = np.einsum("sipa,sjpb->sijab", u, u.conj()).reshape(s_count, l * l, d, d)
+            got = matrix_models._phi_blocks(g)
+            assert np.array_equal(got, want)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
     def test_conjugate_chain_is_bitwise_conjugate(self):
         rng = np.random.default_rng(SEED)
         for _ in range(200):
@@ -412,7 +430,42 @@ class TestBatches:
         assert sizes == [spec.samples]
         assert (single.mean, single.stderr) == (whole.mean, whole.stderr)
 
+    @pytest.mark.parametrize("spec", _BATCH_SPECS,
+                             ids=lambda s: f"{s.model.value}-{s.second_map}")
+    def test_threads_keep_the_bits(self, monkeypatch, spec):
+        # batches of at most 2 samples at 1 thread and of 1 at 2 and 3
+        # threads, so at least 3 batches at every thread count
+        cells = matrix_models._trace_cost(spec.model, spec.n, spec.l, spec.d, 1,
+                                          spec.second_map)[1]
+        monkeypatch.setattr(matrix_models, "_BATCH_CELLS", 2 * cells)
+        stats_fn, batches = _STATS[spec.model], []
+        # at 2 threads the first two batches wait for each other, so they
+        # run at once, on two workers, however short they are
+        both = threading.Barrier(2, timeout=10)
+
+        def recorded(spec, indices, retry):
+            batches.append(threading.get_ident())
+            if threads == 2 and len(batches) <= 2:
+                both.wait()
+            return stats_fn(spec, indices, retry)
+
+        monkeypatch.setitem(_STATS, spec.model, recorded)
+        reports = {}
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(meanders, "_threads", lambda: threads)
+            batches.clear()
+            rep = estimate(spec)
+            reports[threads] = (rep.mean, rep.stderr)
+            assert len(batches) >= 3
+            if threads == 2:
+                assert threading.get_ident() not in batches
+                assert len(set(batches)) >= 2
+        assert reports[1] == reports[2] == reports[3]
+
     def test_resamples_in_a_later_batch(self, monkeypatch):
+        # the exact batches are those of one thread; threads split
+        # batches further, which test_threads_keep_the_bits covers
+        monkeypatch.setattr(meanders, "_threads", lambda: 1)
         spec = ModelSpec(Model.NC_NC, 2, 2, 4, 9, SEED)
         cells = matrix_models._trace_cost(Model.NC_NC, 2, 2, 4, 1, "independent")[1]
         monkeypatch.setattr(matrix_models, "_BATCH_CELLS", 4 * cells)
@@ -437,10 +490,13 @@ class TestBatches:
         assert rep.mean == float(want.mean())
         assert rep.stderr == float(want.std(ddof=1) / 3)
 
-    def test_peak_memory_does_not_grow_with_samples(self):
+    def test_peak_memory_does_not_grow_with_samples(self, monkeypatch):
         # 400 samples are 2 batches and 1600 are 5 at nc-nc n=2, l=2,
-        # d=8; held in one batch, 1600 samples peaked at 4x 400's
-        def peak(samples):
+        # d=8 and 1 thread; held in one batch, 1600 samples peaked at 4x
+        # 400's.  At 2 threads the batches are half as large and two are
+        # alive at once, so the peak stays within the 1-thread bound
+        def peak(samples, threads):
+            monkeypatch.setattr(meanders, "_threads", lambda: threads)
             tracemalloc.start()
             try:
                 estimate(ModelSpec(Model.NC_NC, 2, 2, 8, samples, SEED))
@@ -448,8 +504,9 @@ class TestBatches:
             finally:
                 tracemalloc.stop()
 
-        small, large = peak(400), peak(1600)
-        assert large <= 1.1 * small
+        small = peak(400, 1)
+        assert peak(1600, 1) <= 1.1 * small
+        assert peak(1600, 2) <= 1.1 * small
 
 
 class TestTraceBudget:

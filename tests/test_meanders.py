@@ -1,5 +1,6 @@
 import itertools
 import random
+import threading
 from collections import Counter
 
 import numpy as np
@@ -523,3 +524,18 @@ class TestDeterminism:
         mod._pair_histogram.cache_clear()
         assert serial_poly == threaded_poly
         assert (serial_table == threaded_table).all()
+
+    def test_pool_does_not_nest(self, monkeypatch):
+        # a map started on a worker runs its items on that worker, in order
+        from meandrics import meanders as mod
+        monkeypatch.setattr(mod, "_threads", lambda: 2)
+
+        def outer(item):
+            inner = mod._ordered_map(lambda i: (i, threading.get_ident()), range(4))
+            return item, threading.get_ident(), list(inner)
+
+        results = list(mod._ordered_map(outer, range(5)))
+        assert [item for item, _, _ in results] == list(range(5))
+        for _, worker, inner in results:
+            assert worker != threading.get_ident()
+            assert inner == [(i, worker) for i in range(4)]
