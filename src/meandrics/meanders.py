@@ -22,20 +22,27 @@ over a thread pool capped by the MEANDER_THREADS environment variable;
 partial histograms are merged by integer addition, so the result does
 not depend on the split.
 
-A class scan takes one top partition per symmetry orbit.  Rotating both
-partitions of a pair (alpha -> gamma alpha gamma~ for the full cycle
-gamma) or reflecting both (alpha -> r alpha~ r for r(i) = n-1-i) leaves
+A class scan takes one top partition per symmetry orbit.  Reflecting
+both partitions of a pair (alpha -> r alpha~ r for r(i) = n-1-i) leaves
 #cycles(alpha~ beta), ||alpha|| and ||beta|| unchanged, since the new
-product is conjugate to alpha~ beta or to its inverse.  So when the
-bottom side is closed under such a group, every top partition in one
-orbit meets the bottom side in the same histogram, and the scan counts
-each representative's pairs once per member of its orbit.  The group is
+product is conjugate to the inverse of alpha~ beta.  Taking the Kreweras
+complement of both (alpha -> Kr alpha = alpha~ gamma for the full cycle
+gamma) keeps the loop count too, as gamma~ alpha beta~ gamma is
+conjugate to the inverse of alpha~ beta, but flips both exponents:
+||Kr alpha|| = n - 1 - ||alpha||.  Kr^2 is the rotation, so the group
+<Kr, reflection> holds the dihedral group, and its orbits of NC(n) are
+about half as many (175 against 336 at n=9, 490 against 980 at n=10).
+So when the bottom side is closed under the group, every top partition
+in one orbit meets it in the representative's histogram, flipped for
+the members an odd number of Kr steps away, and the scan weights each
+representative's pairs by its even and its odd members.  The group is
 derived from the two sides: reflection for every class (NC(n), Int(n)
-and the rainbow are closed under it), rotation as well only when both
-sides are closed under it, which is the full class alone.  A side that
-is not closed under reflection gets the trivial group of single rows:
-no comb side is, so the cumulant scans, which keep only the pairs with
-trivial Kr-interval meet, weigh each pair once.
+and the rainbow are closed under it), Kr as well only when both sides
+are closed under it, which is the full class (and Int(2) = NC(2)).  A
+side that is not closed under reflection gets the trivial group of
+single rows, and so do the cumulant scans, which keep only the pairs
+with trivial Kr-interval meet: that filter is not carried along an
+orbit, so they weigh each pair once.
 
 When both sides are the same kind (the full and thin classes, and the
 Kr thin cumulant scan), the scan also uses the top/bottom swap: beta~
@@ -43,9 +50,10 @@ alpha is the inverse of alpha~ beta, so the pair (beta, alpha) has the
 loops of (alpha, beta) with the two exponents exchanged, and the meet
 filter is symmetric.  B is sorted by orbit key and a representative
 meets only the B orbits from its own on; a pair in a later orbit stands
-for itself and its mirror image.  Full n=9 composes 0.80M pairs (1.6M
-with the orbits alone), thin n=13 4.24M (8.5M) and Kr thin n=12 2.10M
-(4.19M).  One reducer, ``_pair_histogram``, serves every class and
+for itself and its mirror image.  Full n=9 composes 0.42M pairs (0.80M
+with the dihedral group in place of <Kr, reflection>), full n=11 43.1M
+(84.5M), thin n=13 4.24M (8.5M with the orbits alone) and Kr thin n=12
+2.10M (4.19M).  One reducer, ``_pair_histogram``, serves every class and
 cumulant scan.  The pairs that remain are still composed and counted
 one by one; ``pairwise_cycle_counts`` keeps the plain, unreduced table
 that verify and the tests compare against.
@@ -321,14 +329,15 @@ def _partition_keys(imgs: np.ndarray, inv: np.ndarray) -> np.ndarray:
 
 def _generator_moves(imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Partition keys of the rows, and a (2, M) array holding the row
-    index of each row's rotation gamma P gamma~ (first line) and
-    reflection r P~ r (second line), or -1 where that image is not a row
-    of the side."""
+    index of each row's Kreweras complement Kr P = P~ gamma (first line)
+    and reflection r P~ r (second line), or -1 where that image is not a
+    row of the side."""
     n = imgs.shape[1]
     inv = _inverse(imgs)
     keys = _partition_keys(imgs, inv)
+    # Kr P has images P~(i + 1) and inverse images P(i) - 1
     images = np.stack([
-        _partition_keys(*((np.roll(x, 1, axis=1) + 1) % n for x in (imgs, inv))),
+        _partition_keys(np.roll(inv, -1, axis=1), (imgs - 1) % n),
         _partition_keys(n - 1 - inv[:, ::-1], n - 1 - imgs[:, ::-1])])
     order = np.argsort(keys)
     rows = order[np.searchsorted(keys, images, sorter=order).clip(max=len(keys) - 1)]
@@ -336,29 +345,44 @@ def _generator_moves(imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys, rows
 
 
-def _orbits(a_imgs: np.ndarray, b_imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The A rows in orbit order, and each orbit's size.
+def _orbits(a_imgs: np.ndarray, b_imgs: np.ndarray,
+            group: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The A rows in orbit order, each orbit's size and each orbit's
+    number of odd members.
 
     The orbits are those of the symmetry group of the pair of sides,
-    generated by each of rotation and reflection under which both sides
-    are closed: the dihedral group for the full class, the reflection for
-    the other classes and the trivial group of single rows for the
-    cumulant scans.  A row's orbit key is the smallest partition key
-    over its images, which are found by following each generator from
-    row to row.  The rows of one orbit are contiguous, orbits in
-    increasing order of key, so orbit i is order[first:first + sizes[i]]
-    for first the sum of the sizes before it."""
+    generated by each of the Kreweras complement and reflection under
+    which both sides are closed: <Kr, reflection> for the full class
+    (and for Int(2) = NC(2)) and the reflection for the other classes.
+    With group false, or a side closed under neither, the orbits are
+    single rows.  Kr has order 2n on NC(n), Kr^2 is the rotation and
+    reflection conjugates Kr to its inverse, so an orbit is the Kr^j
+    images of a row and of its reflection, j < 2n, and its size divides
+    4n.  A row's orbit key is
+    the smallest partition key over those images, found by following
+    each generator from row to row, and the row is odd when it is an odd
+    number of Kr steps from the row of that key, its orbit's
+    representative.  Kr maps ||P|| to n - 1 - ||P||, so the odd members
+    meet a closed bottom side in the representative's histogram with
+    both exponents flipped.  The rows of one orbit are contiguous,
+    orbits in increasing order of key, so orbit i is
+    order[first:first + sizes[i]] for first the sum of the sizes before
+    it."""
     n = a_imgs.shape[1]
     keys, moves = _generator_moves(a_imgs)
     _, b_moves = _generator_moves(b_imgs)
-    rotate, reflect = (moves >= 0).all(axis=1) & (b_moves >= 0).all(axis=1)
-    orbit = keys
+    kreweras, reflect = (moves >= 0).all(axis=1) & (b_moves >= 0).all(axis=1) & group
+    orbit, odd = keys, np.zeros(len(keys), dtype=bool)
     for rows in (np.arange(len(keys)), moves[1])[:1 + reflect]:
-        for _ in range(n if rotate else 1):
-            orbit = np.minimum(orbit, keys[rows])
+        for step in range(2 * n if kreweras else 1):
+            image = keys[rows]
+            nearer = image < orbit
+            orbit = np.where(nearer, image, orbit)
+            odd = np.where(nearer, step % 2 == 1, odd)
             rows = moves[0][rows]
     order = np.argsort(orbit, kind="stable")
-    return order, np.unique(orbit, return_counts=True)[1]
+    _, orbit_idx, sizes = np.unique(orbit, return_inverse=True, return_counts=True)
+    return order, sizes, np.bincount(orbit_idx[odd], minlength=len(sizes))
 
 
 def _cycle_counts(perms: np.ndarray) -> np.ndarray:
@@ -384,6 +408,23 @@ def _cycle_counts(perms: np.ndarray) -> np.ndarray:
     return counts
 
 
+# A chunk of the pair scan holds about this many (pair, point) cells, and
+# at least one A row.  Each worker holds a chunk's int16 compositions,
+# its visited flags and its int64 walk indices at once, so the bound sets
+# the scan's peak.  Measured on 2 cores (numpy 2.4.6), medians of 3 runs
+# (1 for full 11) of wall s / peak MB at MEANDER_THREADS=2:
+#   cells   full 9       full 10      full 11      thin 13
+#   4M      0.15 / 60    0.86 / 91    7.3 / 108    0.65 / 78
+#   2M      0.13 / 57    0.78 / 64    6.8 / 88     0.64 / 58
+#   1M      0.12 / 47    0.80 / 51    7.2 / 91     0.69 / 48
+#   500K    0.10 / 41    0.77 / 47    8.1 / 101    0.84 / 47
+#   250K    0.13 / 39    0.88 / 49    8.3 / 105    0.97 / 52
+# and at 1 thread 55-74 MB at 4M, 39-75 MB at 1M.  Below 1M thin 13
+# slows (more, smaller numpy calls) and full 11 holds more per-chunk
+# histograms; at 1M it is as fast as at 4M.
+_CHUNK_CELLS = 1_000_000
+
+
 def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
                 reduce: Callable[[slice, slice, np.ndarray], _R],
                 first: np.ndarray | None = None) -> list[_R]:
@@ -404,7 +445,7 @@ def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
     start = 0
     while start < ma:
         c0 = 0 if first is None else int(first[start])
-        stop = min(ma, start + max(1, 4_000_000 // max(1, (mb - c0) * n)))
+        stop = min(ma, start + max(1, _CHUNK_CELLS // max(1, (mb - c0) * n)))
         bounds.append((slice(start, stop), slice(c0, mb)))
         start = stop
 
@@ -463,18 +504,24 @@ def _pair_histogram(klass: MeanderClass, n: int,
     trivial, keyed (loops, #blocks(alpha) - 1, #blocks(beta) - 1).
 
     Scans one A row per symmetry orbit, in increasing order of orbit key,
-    and counts each of its pairs once per member of the orbit.  When
+    and weights each of its pairs by the orbit's members: the even ones
+    add the pair's cell (k, a, b) and the odd ones, an odd number of
+    Kreweras steps from the representative, add (k, n-1-a, n-1-b).  This
+    is well defined: when an odd element fixes a row, that row's
+    histogram over all of B is already invariant under the flip.  When
     both sides are the same kind, B is sorted by orbit key and a row
     meets only the B orbits from its own on: a pair in a later orbit
-    counts as (k, a, b) and, for its mirror image, as (k, b, a).
+    counts as (k, a, b) and, for its mirror image, as (k, b, a), a swap
+    that commutes with the flip.
 
     The cumulant scans drop each pair whose block-of-n masks meet (a
-    comb's mask is its Q).  No comb side is closed under reflection, so
-    their orbits are single rows and the filter needs no orbit weight;
-    the swap of Kr thin keeps it, since the masks meet symmetrically."""
+    comb's mask is its Q).  That filter is not carried along a Kr or
+    reflection orbit, so they take the trivial group of single rows even
+    where their sides are closed (Kr Int(2) = NC(2)); the swap of Kr thin
+    keeps it, since the masks meet symmetrically."""
     top, bottom = (_KR_SIDES if kr else _CLASS_SIDES)[klass]
     a, b = _side(top, n), _side(bottom, n)
-    order, sizes = _orbits(a.imgs, b.imgs)
+    order, sizes, odd = _orbits(a.imgs, b.imgs, group=not kr)
     last = np.cumsum(sizes)
     first = last - sizes
     reps = order[first]
@@ -487,19 +534,22 @@ def _pair_histogram(klass: MeanderClass, n: int,
         # every pair counted once
         b_rows = np.arange(len(b.imgs))
         first, last = np.zeros_like(sizes), np.full_like(sizes, len(b_rows))
-    weights, size_idx = np.unique(sizes, return_inverse=True)
+    # the distinct (even members, odd members) of the orbits; numpy 2.0.0
+    # gives weight_idx a second axis, hence the reshape below
+    weights, weight_idx = np.unique(np.stack([sizes - odd, odd], axis=1),
+                                    axis=0, return_inverse=True)
     base = n + 1
     label = len(weights) * base ** 3
     # Kr-side exponents: ||alpha~ 1_n|| = n - 1 - ||alpha|| = #blocks - 1
     a_stat, b_stat = (s.blocks - 1 if kr else n - s.blocks for s in (a, b))
-    cell_a = a_stat[reps] * base + size_idx * base ** 3
+    cell_a = a_stat[reps] * base + weight_idx.reshape(-1) * base ** 3
     b_stat = b_stat[b_rows]
     a_masks, b_masks = a.masks[reps], b.masks[b_rows]
 
     def histogram(rows: slice, cols: slice, counts: np.ndarray) -> np.ndarray:
-        # cells (label, size, k, a, b); label 0: a pair before the row's
-        # own orbit, not composed, or a cumulant pair whose masks meet;
-        # 1: counted once; 2: counted with its mirror image
+        # cells (label, weights, k, a, b); label 0: a pair before the
+        # row's own orbit, not composed, or a cumulant pair whose masks
+        # meet; 1: counted once; 2: counted with its mirror image
         col = np.arange(cols.start, cols.stop)
         idx = counts                # the chunk's own table, turned into cells
         idx *= base * base
@@ -516,7 +566,10 @@ def _pair_histogram(klass: MeanderClass, n: int,
         cells = np.bincount(idx.ravel(), minlength=3 * label)
         cells = cells.reshape(3, len(weights), base, base, base)
         cells = cells[1] + cells[2] + cells[2].swapaxes(2, 3)
-        return np.tensordot(weights, cells, axes=1)
+        even, odd_cells = np.tensordot(weights.T, cells, axes=1)
+        # the exponents run over 0..n-1: the odd members flip both
+        even[:, :n, :n] += odd_cells[:, n - 1::-1, n - 1::-1]
+        return even
 
     return _cells(np.sum(_scan_pairs(a.imgs[reps], b.imgs[b_rows], histogram,
                                      first if swap else None),

@@ -383,7 +383,7 @@ class TestOrbitReduction:
 
         monkeypatch.setattr(mod, "_cycle_counts", counted)
         side = _side((_KR_SIDES if kr else _CLASS_SIDES)[klass][0], n)
-        _, sizes = _orbits(side.imgs, side.imgs)
+        _, sizes, _ = _orbits(side.imgs, side.imgs, group=not kr)
         _pair_histogram.cache_clear()
         try:
             _pair_histogram(klass, n, kr)
@@ -392,26 +392,66 @@ class TestOrbitReduction:
         assert sum(composed) <= 0.55 * len(sizes) * len(side.imgs)
 
     def test_full_orbit_counts(self):
-        # dihedral orbits of NC(n)
-        want = [1, 2, 3, 6, 10, 24, 49, 130, 336, 980]
+        # <Kr, reflection> orbits of NC(n), a group of order 4n
+        want = [1, 1, 2, 3, 6, 12, 27, 65, 175, 490]
         for n, count in enumerate(want, 1):
             imgs, _ = _geodesic_rows(enumerate_nc(n))
-            order, sizes = _orbits(imgs, imgs)
+            order, sizes, odd = _orbits(imgs, imgs)
             assert len(sizes) == count
             assert sorted(order.tolist()) == list(range(catalan(n)))
             assert sizes.sum() == catalan(n)
-            assert all((2 * n) % int(s) == 0 for s in sizes)
+            assert all((4 * n) % int(s) == 0 for s in sizes)
+            assert ((0 <= odd) & (odd <= sizes)).all()
+
+    def test_kreweras_parity_is_well_defined(self):
+        # an odd orbit member meets NC(n) in its representative's
+        # histogram with both exponents flipped, (k, a, b) -> (k, n-1-a,
+        # n-1-b), so a representative fixed by an odd group element must
+        # have a flip-invariant histogram; and a dropped flip must show
+        # in test_reduced_equals_plain[full-8]
+        def reflect(p):
+            return NcPartition(p.n, [[p.n - 1 - i for i in blk] for blk in p.blocks])
+
+        def fixed_by_odd(p):
+            for q in (p, reflect(p)):
+                for j in range(1, 2 * p.n):
+                    q = q.kreweras()
+                    if j % 2 and q == p:
+                        return True
+            return False
+
+        fixed = flip_shows = 0
+        for n in range(1, 10):
+            side = _side("nc", n)
+            parts = list(enumerate_nc(n))
+            order, sizes, odd = _orbits(side.imgs, side.imgs)
+            reps = order[np.cumsum(sizes) - sizes]
+            norm = n - side.blocks
+            for rep, odd_members, loops in zip(
+                    reps, odd, pairwise_cycle_counts(side.imgs[reps], side.imgs)):
+                a = int(norm[rep])
+                hist = Counter(zip(loops.tolist(), norm.tolist()))
+                flipped = Counter({(k, n - 1 - b): c for (k, b), c in hist.items()})
+                invariant = a == n - 1 - a and hist == flipped
+                if fixed_by_odd(parts[rep]):
+                    assert invariant, (n, parts[rep])
+                    fixed += 1
+                flip_shows += n <= 8 and odd_members > 0 and not invariant
+        assert fixed and flip_shows
 
     @pytest.mark.parametrize("klass", list(MeanderClass), ids=lambda k: k.value)
     def test_orbit_sizes_sum_to_side(self, klass):
         for n in range(1, 11):
             a, b = (_side(kind, n) for kind in _CLASS_SIDES[klass])
-            order, sizes = _orbits(a.imgs, b.imgs)
+            order, sizes, odd = _orbits(a.imgs, b.imgs)
             assert sizes.sum() == len(a.imgs), n
             assert sorted(order.tolist()) == list(range(len(a.imgs))), n
+            assert ((0 <= odd) & (odd <= sizes)).all(), n
             if klass is not MeanderClass.FULL:
-                # reflection alone: Int(n) is not closed under rotation
+                # reflection alone: Int(n) is not closed under Kr, except
+                # Int(2) = NC(2), whose one orbit has one odd member
                 assert set(sizes.tolist()) <= {1, 2}, n
+                assert odd.sum() == (n == 2 and klass is not MeanderClass.SEMI), n
 
     def test_side_not_closed_under_reflection_gets_trivial_group(self):
         # single-row orbits are what keep the cumulant scans' mask filter
@@ -421,11 +461,19 @@ class TestOrbitReduction:
         b_imgs, _ = _geodesic_rows([lopsided])
         pairs = [(a_imgs, b_imgs), (b_imgs, a_imgs)]
         pairs += [tuple(_side(kind, n).imgs for kind in sides)
-                  for sides in _KR_SIDES.values() for n in range(1, 11)]
+                  for sides in _KR_SIDES.values() for n in range(1, 11) if n != 2]
         for top, bottom in pairs:
-            order, sizes = _orbits(top, bottom)
+            order, sizes, odd = _orbits(top, bottom)
             assert sizes.tolist() == [1] * len(top)
+            assert odd.tolist() == [0] * len(top)
             assert sorted(order.tolist()) == list(range(len(top)))
+        # Kr Int(2) = NC(2) is closed under Kr and reflection, so the
+        # cumulant scans ask for the trivial group
+        nc2 = _side("kr-interval", 2).imgs
+        assert _orbits(nc2, nc2)[1].tolist() == [2]
+        order, sizes, odd = _orbits(nc2, nc2, group=False)
+        assert sizes.tolist() == [1, 1] and odd.tolist() == [0, 0]
+        assert sorted(order.tolist()) == [0, 1]
 
     def test_full_n9_meander_numbers(self):
         # one-loop coefficients: the meander numbers (OEIS A005315)
@@ -493,10 +541,12 @@ class TestSideTable:
 class TestDeterminism:
     def test_thread_split_invariance(self, monkeypatch):
         # the reduced full n=9 scan and the plain full n=8 table (1430 x
-        # 1430 x 8 cells, five chunks) both have more than one chunk, so
-        # two threads really split them
+        # 1430 x 8 cells, in chunks of whole rows of at most
+        # _CHUNK_CELLS cells) both have more than one chunk, so two
+        # threads really split them
         from meandrics import meanders as mod
         imgs, _ = _geodesic_rows(enumerate_nc(8))
+        rows_per_chunk = mod._CHUNK_CELLS // (1430 * 8)
         scan = mod._scan_pairs
         chunks = []
 
@@ -514,7 +564,7 @@ class TestDeterminism:
             assert max(chunks) > 1
             chunks.clear()
             table = pairwise_cycle_counts(imgs, imgs)
-            assert chunks == [5]
+            assert chunks == [-(-1430 // rows_per_chunk)]
             return poly, table
 
         monkeypatch.setattr(mod, "_threads", lambda: 1)
