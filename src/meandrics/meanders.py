@@ -355,7 +355,7 @@ def _orbits(a_imgs: np.ndarray, b_imgs: np.ndarray,
     which both sides are closed: <Kr, reflection> for the full class
     (and for Int(2) = NC(2)) and the reflection for the other classes.
     With group false, or a side closed under neither, the orbits are
-    single rows.  Kr has order 2n on NC(n), Kr^2 is the rotation and
+    single rows.  Kr^2 is the rotation, so Kr^(2n) is the identity, and
     reflection conjugates Kr to its inverse, so an orbit is the Kr^j
     images of a row and of its reflection, j < 2n, and its size divides
     4n.  A row's orbit key is
