@@ -11,7 +11,8 @@ Subcommands:
 - ``simulate MODEL N L`` runs the random-matrix estimators over a list
   of dimensions.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
+Exit codes: 0 success, 1 verification failure or a broken pipe (stdout
+closed early, as by ``| head``; nothing is printed), 2 usage error,
 3 resource limit exceeded.  Commands raise ``_UsageError`` or
 ``meanders.ResourceLimitError``; ``main`` alone maps them to exit codes
 2 and 3 with one ``error:`` line.  Every command checks its arguments
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Iterator, Sequence, TextIO
 
@@ -187,16 +189,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for spec in specs:
         matrix_models.check_trace_budget(spec)
     with _output(args.out) as out:
-        if args.format == "csv":
-            out.write("model,n,l,d,samples,seed,mean,stderr,exact_target\n")
         for spec in specs:
             doc = matrix_models.estimate(spec).to_json()
-            if args.format == "csv":
-                out.write(",".join(str(doc[k]) for k in
-                                   ("model", "n", "l", "d", "samples", "seed",
-                                    "mean", "stderr", "exact_target")) + "\n")
-            else:
+            if args.format == "json":
                 out.write(json.dumps(doc) + "\n")
+                continue
+            if spec is specs[0]:        # the header: the JSON keys
+                out.write(",".join(doc) + "\n")
+            out.write(",".join(map(str, doc.values())) + "\n")
     return EXIT_OK
 
 
@@ -257,10 +257,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "budget_override", None) is not None:
         print(f"warning: budget override {args.budget_override}", file=sys.stderr)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()      # so that a broken pipe raises here
+        return code
     except (_UsageError, meanders.ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, _UsageError) else EXIT_RESOURCE
+    except BrokenPipeError:
+        # quiet at shutdown too; 1 is Python's own exit code on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ The exhaustive pair scans are vectorized with numpy but remain honest
 brute force: every pair is materialized as a permutation composition
 whose cycles are counted directly.  Chunks of the scan may be spread
 over a thread pool capped by the MEANDER_THREADS environment variable;
-partial histograms are merged by integer addition, so the result does
-not depend on the split.
+each chunk's histogram is added to one integer total as it arrives, so
+the result does not depend on the split.
 
 A class scan takes one top partition per symmetry orbit.  Reflecting
 both partitions of a pair (alpha -> r alpha~ r for r(i) = n-1-i) leaves
@@ -427,7 +427,7 @@ _CHUNK_CELLS = 1_000_000
 
 def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
                 reduce: Callable[[slice, slice, np.ndarray], _R],
-                first: np.ndarray | None = None) -> list[_R]:
+                first: np.ndarray | None = None) -> Iterator[_R]:
     """reduce(rows, cols, counts) for each chunk of A rows, in chunk order.
 
     rows is the chunk's slice of A and cols the slice of B it reads;
@@ -437,7 +437,8 @@ def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
     reads the suffix of B from its first row's column, composes only
     each row's own pairs and holds 0 in the cells before them.  Chunks
     hold about the same number of cells and are mapped over the
-    MEANDER_THREADS pool by ``_ordered_map``."""
+    MEANDER_THREADS pool by ``_ordered_map``, whose iterator this is, so
+    a caller that folds the results holds at most MEANDER_THREADS + 1."""
     ma, n = a_imgs.shape
     inv = _inverse(a_imgs)
     mb = b_imgs.shape[0]
@@ -464,7 +465,7 @@ def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
         counts[mine] = kept
         return reduce(rows, cols, counts)
 
-    return list(_ordered_map(run, bounds))
+    return _ordered_map(run, bounds)
 
 
 def _cells(total: np.ndarray) -> dict[tuple[int, int, int], int]:
@@ -476,7 +477,7 @@ def _cells(total: np.ndarray) -> dict[tuple[int, int, int], int]:
 
 def pairwise_cycle_counts(a_imgs: np.ndarray, b_imgs: np.ndarray) -> np.ndarray:
     """(MA, MB) array of #cycles(alpha~ beta) for one-line image rows."""
-    blocks = _scan_pairs(a_imgs, b_imgs, lambda rows, cols, counts: counts)
+    blocks = list(_scan_pairs(a_imgs, b_imgs, lambda rows, cols, counts: counts))
     return np.concatenate(blocks) if blocks else np.empty((0, len(b_imgs)), dtype=np.int64)
 
 
@@ -571,9 +572,9 @@ def _pair_histogram(klass: MeanderClass, n: int,
         even[:, :n, :n] += odd_cells[:, n - 1::-1, n - 1::-1]
         return even
 
-    return _cells(np.sum(_scan_pairs(a.imgs[reps], b.imgs[b_rows], histogram,
-                                     first if swap else None),
-                         axis=0, dtype=np.int64))
+    # sum drops each histogram once added, before it takes the next
+    return _cells(sum(_scan_pairs(a.imgs[reps], b.imgs[b_rows], histogram,
+                                  first if swap else None)))
 
 
 def meander_polynomial(klass: MeanderClass, n: int,

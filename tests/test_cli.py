@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -211,6 +213,15 @@ class TestSimulate:
         assert lines[0] == "model,n,l,d,samples,seed,mean,stderr,exact_target"
         assert lines[1].startswith("thin,2,2,")
 
+    def test_csv_bytes(self, capsys):
+        # one header, then one row per --d, columns in the JSON key order
+        code, out, _ = run(capsys, "simulate", "thin", "2", "2", "--d", "2,3",
+                           "--seed", "4", "--format", "csv")
+        assert code == 0
+        assert out == ("model,n,l,d,samples,seed,mean,stderr,exact_target\n"
+                       "thin,2,2,2,0,4,12.0,0.0,12\n"
+                       "thin,2,2,3,0,4,12.0,0.0,12\n")
+
     def test_bad_model_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "bogus", "1", "2"])
@@ -339,6 +350,23 @@ class TestUsage:
         code, out, err = run(capsys, "enumerate", "nc", "3", "--budget-override", "1")
         assert code == 3 and out == ""
         assert "override" in err and "budget 1" in err
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_stdout_closed_early_exits_1_quietly(self, unbuffered):
+        # the reading end is closed before the child has imported numpy,
+        # so its first write (unbuffered) or main's flush (buffered) fails
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "meandrics.cli", "polynomial", "full", "1..9"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 1
+        assert err == b""
 
 
 class TestOut:

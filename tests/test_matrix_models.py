@@ -248,6 +248,56 @@ class TestFactorizedAgainstExplicit:
                 assert math.isclose(fast[idx], want, rel_tol=1e-10)
 
 
+def _per_chain_draws(spec, indices, retry):
+    """Each sample's matrices drawn from its own stream, in the model's
+    order, into one list per chain, and each list stacked: (S, ...) per
+    chain.  nc-nc draws H after G, and only for an independent channel."""
+    l, d = spec.l, spec.d
+    chains = {
+        Model.GUE_DF: [lambda gen: np.stack([sample_gue(d, gen) for _ in range(l)])],
+        Model.WISHART_PT: [lambda gen: sample_ginibre(d * d, l, gen)],
+        Model.SHALLOW_TOP: [lambda gen: sample_ginibre(l, d * d, gen)],
+        Model.NC_NC: [lambda gen: sample_ginibre(l, d * d, gen)]
+        * (2 if spec.second_map == "independent" else 1),
+    }[spec.model]
+    draws = [[] for _ in chains]
+    for idx in indices:
+        gen = sample_stream(spec.seed, int(idx), retry)
+        for chain, out in zip(chains, draws):
+            out.append(chain(gen))
+    return [np.stack(out) for out in draws]
+
+
+_DRAW_SPECS = [
+    ModelSpec(model, n, 2, d, 3 if d == 2 else 2, SEED, second_map=second_map)
+    for model, n, second_map in [
+        (Model.GUE_DF, 2, "independent"), (Model.WISHART_PT, 2, "independent"),
+        (Model.SHALLOW_TOP, 3, "independent"), (Model.NC_NC, 2, "independent"),
+        (Model.NC_NC, 2, "same"), (Model.NC_NC, 2, "conjugate")]
+    for d in (2, 4)]
+
+
+@pytest.mark.parametrize("spec", _DRAW_SPECS,
+                         ids=lambda s: f"{s.model.value}-{s.second_map}-d{s.d}")
+def test_stats_keep_the_bits_of_per_chain_draws(monkeypatch, spec):
+    # the samples out of order and on a retry's salted streams
+    indices, retry = np.array([5, 0, 3])[:spec.samples], 1
+    got = _STATS[spec.model](spec, indices, retry)
+    stacks = _per_chain_draws(spec, indices, retry)
+    if spec.model is Model.NC_NC:
+        w1 = matrix_models._phi_blocks(stacks[0])
+        w2 = {"independent": lambda: matrix_models._phi_blocks(stacks[1]),
+              "same": lambda: w1, "conjugate": lambda: None}[spec.second_map]()
+        want = _chain_trace_sum(w1, w2, spec.n).real * float(spec.d) ** (-2 - 2 * spec.n)
+    else:
+        # the one chain's stack stands in for the draw; what the model
+        # computes from it is its own
+        monkeypatch.setattr(matrix_models, "_draw", lambda *args: stacks[0])
+        want = _STATS[spec.model](spec, indices, retry)
+    assert got.shape == (spec.samples,)
+    assert np.array_equal(got, want)
+
+
 def _reference_chain_trace_sum(w1, w2, length):
     """The recursive descent the chain trace started from: one walk per
     chain, every leaf term added to the sum in lexicographic order."""

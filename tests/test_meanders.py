@@ -1,6 +1,7 @@
 import itertools
 import random
 import threading
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -551,9 +552,11 @@ class TestDeterminism:
         chunks = []
 
         def counted_scan(*args):
-            blocks = scan(*args)
-            chunks.append(len(blocks))
-            return blocks
+            # the scan yields its chunks' results; count them as they pass
+            chunks.append(0)
+            for block in scan(*args):
+                chunks[-1] += 1
+                yield block
 
         monkeypatch.setattr(mod, "_scan_pairs", counted_scan)
 
@@ -574,6 +577,37 @@ class TestDeterminism:
         mod._pair_histogram.cache_clear()
         assert serial_poly == threaded_poly
         assert (serial_table == threaded_table).all()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_scan_folds_chunks_as_they_stream(self, monkeypatch, threads):
+        # the reduced full n=9 scan in one-row chunks: 175 histograms, of
+        # which the fold holds no more than the pool's window of
+        # MEANDER_THREADS and the one it is adding.  Each result is
+        # counted, with the others still alive, as its chunk finishes.
+        from meandrics import meanders as mod
+        monkeypatch.setattr(mod, "_threads", lambda: threads)
+        monkeypatch.setattr(mod, "_CHUNK_CELLS", 1)
+        ordered_map = mod._ordered_map
+        results, alive = [], []
+
+        def tracked_map(fn, items):
+            def tracked(item):
+                result = fn(item)
+                results.append(weakref.ref(result))
+                alive.append(sum(ref() is not None for ref in list(results)))
+                return result
+            return ordered_map(tracked, items)
+
+        monkeypatch.setattr(mod, "_ordered_map", tracked_map)
+        mod._pair_histogram.cache_clear()
+        try:
+            streamed = generating_coefficient(MeanderClass.FULL, 9)
+        finally:
+            mod._pair_histogram.cache_clear()
+        assert len(results) == 175
+        assert max(alive) <= threads + 1
+        monkeypatch.undo()
+        assert streamed == generating_coefficient(MeanderClass.FULL, 9)
 
     def test_pool_does_not_nest(self, monkeypatch):
         # a map started on a worker runs its items on that worker, in order
