@@ -50,13 +50,15 @@ alpha is the inverse of alpha~ beta, so the pair (beta, alpha) has the
 loops of (alpha, beta) with the two exponents exchanged, and the meet
 filter is symmetric.  B is sorted by orbit key and a representative
 meets only the B orbits from its own on; a pair in a later orbit stands
-for itself and its mirror image.  Full n=9 composes 0.42M pairs (0.80M
-with the dihedral group in place of <Kr, reflection>), full n=11 43.1M
-(84.5M), thin n=13 4.24M (8.5M with the orbits alone) and Kr thin n=12
-2.10M (4.19M).  One reducer, ``_pair_histogram``, serves every class and
-cumulant scan.  The pairs that remain are still composed and counted
-one by one; ``pairwise_cycle_counts`` keeps the plain, unreduced table
-that verify and the tests compare against.
+for itself and its mirror image.  A chunk composes and counts the whole
+rectangle of its rows against the B suffix they read, and the reducer
+discards the pairs before each row's own orbit.  Full n=9 composes 0.45M
+pairs (0.42M its rows' own; 0.80M with the dihedral group in place of
+<Kr, reflection>), full n=11 43.2M (43.1M; 84.5M), thin n=13 4.31M
+(4.24M; 8.5M with the orbits alone) and Kr thin n=12 2.16M (2.10M;
+4.19M).  One reducer, ``_pair_histogram``, serves every class and
+cumulant scan; ``pairwise_cycle_counts`` keeps the plain, unreduced
+table that verify and the tests compare against.
 """
 
 from __future__ import annotations
@@ -201,11 +203,13 @@ def _threads() -> int:
 
 @lru_cache(maxsize=None)
 def _thread_count(raw: str | None) -> int:
-    """MEANDER_THREADS as a worker count in 1..os.cpu_count(); unset means
-    1.  Other values are clamped into range with one stderr warning."""
+    """MEANDER_THREADS as a worker count in 1..the CPUs this process may
+    use (os.sched_getaffinity where it exists); unset means 1.  Other
+    values are clamped into range with one stderr warning."""
     if raw is None:
         return 1
-    cpus = os.cpu_count() or 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     try:
         want = int(raw)
     except ValueError:
@@ -215,7 +219,7 @@ def _thread_count(raw: str | None) -> int:
               f"using 1 thread", file=sys.stderr)
         return 1
     if want > cpus:
-        print(f"warning: MEANDER_THREADS={want} exceeds the {cpus} CPUs; "
+        print(f"warning: MEANDER_THREADS={want} exceeds the {cpus} usable CPUs; "
               f"using {cpus} threads", file=sys.stderr)
         return cpus
     return want
@@ -254,7 +258,7 @@ def _geodesic_rows(parts: Iterable[NcPartition]) -> tuple[np.ndarray, np.ndarray
     """One-line geodesic images and block counts for a family of
     partitions.  The images are each partition's own, so they need no
     Permutation check, and the block counts are their cycle counts."""
-    imgs = np.array([part.images for part in parts], dtype=np.int16)
+    imgs = np.array([part.images for part in parts], dtype=np.int8)
     return imgs, _cycle_counts(imgs)
 
 
@@ -288,7 +292,7 @@ class Side(NamedTuple):
     """Read-only rows of one side; row i is the i-th partition of
     ``side_partitions``."""
 
-    imgs: np.ndarray    # (M, n) int16 geodesic one-line images
+    imgs: np.ndarray    # (M, n) int8 geodesic one-line images (n <= 32)
     blocks: np.ndarray  # (M,) int64 block counts
     masks: np.ndarray   # (M,) int64 bitmask of the block of n, without n
 
@@ -409,20 +413,28 @@ def _cycle_counts(perms: np.ndarray) -> np.ndarray:
 
 
 # A chunk of the pair scan holds about this many (pair, point) cells, and
-# at least one A row.  Each worker holds a chunk's int16 compositions,
-# its visited flags and its int64 walk indices at once, so the bound sets
-# the scan's peak.  Measured on 2 cores (numpy 2.4.6), medians of 3 runs
-# (1 for full 11) of wall s / peak MB at MEANDER_THREADS=2:
-#   cells   full 9       full 10      full 11      thin 13
-#   4M      0.15 / 60    0.86 / 91    7.3 / 108    0.65 / 78
-#   2M      0.13 / 57    0.78 / 64    6.8 / 88     0.64 / 58
-#   1M      0.12 / 47    0.80 / 51    7.2 / 91     0.69 / 48
-#   500K    0.10 / 41    0.77 / 47    8.1 / 101    0.84 / 47
-#   250K    0.13 / 39    0.88 / 49    8.3 / 105    0.97 / 52
-# and at 1 thread 55-74 MB at 4M, 39-75 MB at 1M.  Below 1M thin 13
-# slows (more, smaller numpy calls) and full 11 holds more per-chunk
-# histograms; at 1M it is as fast as at 4M.
+# at least one A row.  Each worker holds a chunk's int8 compositions, its
+# visited flags and its int64 walk indices at once, so the bound sets the
+# scan's peak.  Measured on 2 cores (numpy 2.4.6), medians of 5 runs (2
+# for full 11) of wall s / peak MB, one process per run:
+#   threads cells   full 9       full 10      full 11      thin 13
+#   2       2M      0.16 / 43    0.91 / 59    7.0 / 72     0.74 / 51
+#   2       1M      0.14 / 43    0.77 / 50    6.9 / 61     0.79 / 43
+#   2       500K    0.14 / 39    0.74 / 44    7.3 / 61     0.89 / 39
+#   1       2M      0.16 / 39    1.31 / 47    13.2 / 50    1.18 / 41
+#   1       1M      0.16 / 38    1.28 / 42    12.4 / 46    1.25 / 37
+#   1       500K    0.16 / 36    1.07 / 38    13.0 / 46    1.12 / 36
+# 2M peaks higher everywhere; 500K is faster at one thread but slower
+# for thin 13 and full 11 at two, so 1M stays.
 _CHUNK_CELLS = 1_000_000
+
+# A swap-scan chunk composes its whole rectangle, also the cells before
+# each row's own orbit, which the reducer discards.  So it ends before the
+# first row whose own columns start more than 1/_SKIP_CAP of the way into
+# it.  Pairs composed per representative x |B| at full 9, whose rows own
+# 0.496 and whose test bounds it at 0.55: no cap 0.608, 1/2 0.574, 1/4
+# 0.551, 1/8 0.525 (full 10: 0.517 uncapped, 0.510 at 1/8).
+_SKIP_CAP = 8
 
 
 def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
@@ -433,10 +445,11 @@ def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
     rows is the chunk's slice of A and cols the slice of B it reads;
     counts is the (rows, cols) table of #cycles(alpha~ beta).  Without
     first, every chunk reads all of B.  first, one nondecreasing B column
-    per A row, restricts row i to the columns from first[i] on: a chunk
-    reads the suffix of B from its first row's column, composes only
-    each row's own pairs and holds 0 in the cells before them.  Chunks
-    hold about the same number of cells and are mapped over the
+    per A row, starts row i's own columns: a chunk counts the suffix of
+    B from its first row's column, the reducer discards each row's cells
+    before its own, and a chunk ends before a row whose own columns start
+    more than 1/_SKIP_CAP of the way in.  Chunks hold at most about the
+    same number of cells and are mapped over the
     MEANDER_THREADS pool by ``_ordered_map``, whose iterator this is, so
     a caller that folds the results holds at most MEANDER_THREADS + 1."""
     ma, n = a_imgs.shape
@@ -447,23 +460,18 @@ def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
     while start < ma:
         c0 = 0 if first is None else int(first[start])
         stop = min(ma, start + max(1, _CHUNK_CELLS // max(1, (mb - c0) * n)))
+        if first is not None:
+            cap = c0 + (mb - c0) // _SKIP_CAP
+            stop = min(stop, int(np.searchsorted(first, cap, "right")))
         bounds.append((slice(start, stop), slice(c0, mb)))
         start = stop
 
     def run(chunk: tuple[slice, slice]) -> _R:
         rows, cols = chunk
         # (rows, cols, n): (alpha~ beta)(i); np.take returns it C-contiguous,
-        # so the reshape below is a view, not a copy
-        comp = np.take(inv[rows], b_imgs[cols], axis=1)
-        if first is None:
-            return reduce(rows, cols,
-                          _cycle_counts(comp.reshape(-1, n)).reshape(comp.shape[:2]))
-        mine = np.arange(cols.start, mb) >= first[rows, None]
-        comp = comp[mine]           # the rectangle is freed before counting
-        kept = _cycle_counts(comp)  # before the (rows, cols) table is made
-        counts = np.zeros(mine.shape, dtype=np.int64)
-        counts[mine] = kept
-        return reduce(rows, cols, counts)
+        # so the reshape is a view, and the rectangle is freed before reduce
+        counts = _cycle_counts(np.take(inv[rows], b_imgs[cols], axis=1).reshape(-1, n))
+        return reduce(rows, cols, counts.reshape(rows.stop - rows.start, -1))
 
     return _ordered_map(run, bounds)
 
@@ -548,8 +556,8 @@ def _pair_histogram(klass: MeanderClass, n: int,
     a_masks, b_masks = a.masks[reps], b.masks[b_rows]
 
     def histogram(rows: slice, cols: slice, counts: np.ndarray) -> np.ndarray:
-        # cells (label, weights, k, a, b); label 0: a pair before the
-        # row's own orbit, not composed, or a cumulant pair whose masks
+        # cells (label, weights, k, a, b); label 0, discarded: a pair
+        # before the row's own orbit, or a cumulant pair whose masks
         # meet; 1: counted once; 2: counted with its mirror image
         col = np.arange(cols.start, cols.stop)
         idx = counts                # the chunk's own table, turned into cells

@@ -516,10 +516,24 @@ class TestThreads:
     def test_bad_value_warns_once_and_clamps(self, capsys, monkeypatch, raw, want):
         monkeypatch.setenv("MEANDER_THREADS", raw)
         meanders._thread_count.cache_clear()
-        cpus = os.cpu_count() or 1
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
         assert meanders._threads() == meanders._threads() == (want or cpus)
         err = capsys.readouterr().err
         assert err.count("warning: MEANDER_THREADS") == 1
+
+    def test_clamped_to_the_affinity_mask(self, capsys, monkeypatch):
+        # under taskset -c 0 the process may use one CPU, whatever
+        # os.cpu_count() says
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setenv("MEANDER_THREADS", "2")
+        meanders._thread_count.cache_clear()
+        try:
+            assert meanders._threads() == 1
+        finally:
+            meanders._thread_count.cache_clear()
+        assert "exceeds the 1 usable CPUs" in capsys.readouterr().err
 
     def test_valid_value_is_silent(self, capsys, monkeypatch):
         monkeypatch.setenv("MEANDER_THREADS", "1")

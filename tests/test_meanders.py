@@ -371,9 +371,12 @@ class TestOrbitReduction:
     @pytest.mark.parametrize("klass, n, kr", [
         pytest.param(MeanderClass.THIN, 12, False, id="thin-12"),
         pytest.param(MeanderClass.FULL, 9, False, id="full-9"),
-        pytest.param(MeanderClass.THIN, 12, True, id="kr-thin-12")])
+        pytest.param(MeanderClass.THIN, 12, True, id="kr-thin-12"),
+        pytest.param(MeanderClass.FULL, 10, False, id="full-10")])
     def test_swap_halves_the_pairs_composed(self, monkeypatch, klass, n, kr):
-        # each representative meets only the B orbits from its own on
+        # each representative meets only the B orbits from its own on; a
+        # chunk composes its whole rectangle, so its rows' own orbits must
+        # start near its first column (full 10 takes 69 chunks)
         from meandrics import meanders as mod
         composed = []
         cycle_counts = mod._cycle_counts
