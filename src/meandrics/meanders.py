@@ -424,8 +424,8 @@ def _cycle_counts(perms: np.ndarray) -> np.ndarray:
 #   1       2M      0.16 / 39    1.31 / 47    13.2 / 50    1.18 / 41
 #   1       1M      0.16 / 38    1.28 / 42    12.4 / 46    1.25 / 37
 #   1       500K    0.16 / 36    1.07 / 38    13.0 / 46    1.12 / 36
-# 2M peaks higher everywhere; 500K is faster at one thread but slower
-# for thin 13 and full 11 at two, so 1M stays.
+# 2M peaks higher (full 9 level); 500K is faster at one thread but
+# slower for thin 13 and full 11 at two, so 1M stays.
 _CHUNK_CELLS = 1_000_000
 
 # A swap-scan chunk composes its whole rectangle, also the cells before
@@ -448,8 +448,8 @@ def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
     per A row, starts row i's own columns: a chunk counts the suffix of
     B from its first row's column, the reducer discards each row's cells
     before its own, and a chunk ends before a row whose own columns start
-    more than 1/_SKIP_CAP of the way in.  Chunks hold at most about the
-    same number of cells and are mapped over the
+    more than 1/_SKIP_CAP of the way in.  Chunks hold at most about
+    _CHUNK_CELLS cells and are mapped over the
     MEANDER_THREADS pool by ``_ordered_map``, whose iterator this is, so
     a caller that folds the results holds at most MEANDER_THREADS + 1."""
     ma, n = a_imgs.shape
