@@ -17,10 +17,13 @@ both their sides from it through ``_CLASS_SIDES`` and ``_KR_SIDES``.
 
 The exhaustive pair scans are vectorized with numpy but remain honest
 brute force: every pair is materialized as a permutation composition
-whose cycles are counted directly.  Chunks of the scan may be spread
-over a thread pool capped by the MEANDER_THREADS environment variable;
-each chunk's histogram is added to one integer total as it arrives, so
-the result does not depend on the split.
+whose cycles are counted directly.  A fixed point is a 1-cycle, counted
+by one comparison with the identity, and every longer cycle is walked
+once, so every cycle of every composed pair is still counted.  Chunks
+of the scan may be spread over a thread pool capped by the
+MEANDER_THREADS environment variable; each chunk's histogram is added
+to one integer total as it arrives, so the result does not depend on
+the split.
 
 A class scan takes one top partition per symmetry orbit.  Reflecting
 both partitions of a pair (alpha -> r alpha~ r for r(i) = n-1-i) leaves
@@ -390,42 +393,48 @@ def _orbits(a_imgs: np.ndarray, b_imgs: np.ndarray,
 
 
 def _cycle_counts(perms: np.ndarray) -> np.ndarray:
-    """Cycle counts of each row of an (M, n) one-line array."""
+    """Cycle counts of each row of an (M, n) one-line array, as int64.
+
+    A fixed point is a 1-cycle, found by one comparison with arange(n)
+    and counted without a walk.  Every other cycle is walked once, from
+    its smallest point, and counted there.  The input is not written."""
     m, n = perms.shape
     flat = perms.ravel()
-    # visited[r * n + i]: point i of row r lies on a cycle already counted
-    visited = np.zeros(m * n, dtype=bool)
-    counts = np.zeros(m, dtype=np.int64)
+    # state[r * n + i] for point i of row r: 0 not yet seen, 1 a fixed
+    # point, 2 on a cycle already walked
+    state = (perms == np.arange(n, dtype=perms.dtype)).view(np.uint8).ravel()
+    # at most n cycles a row: uint8 up to n = 255
+    counts = np.zeros(m, dtype=np.min_scalar_type(n))
     for j in range(n):
-        todo = ~visited[j::n]
-        counts += todo
-        # walk the cycle of j in each row that has not seen it, by flat
+        at_j = state[j::n]
+        counts += at_j < 2
+        # walk the cycle of j in each row where j is unseen, by flat
         # index, dropping a row when its walk returns to j
-        base = np.flatnonzero(todo) * n
+        base = np.flatnonzero(at_j == 0) * n
         pos = base + j
         while pos.size:
-            visited[pos] = True
+            state[pos] = 2
             nxt = flat.take(pos)
             keep = nxt != j
             base = base[keep]
             pos = base + nxt[keep]
-    return counts
+    return counts.astype(np.int64)
 
 
 # A chunk of the pair scan holds about this many (pair, point) cells, and
 # at least one A row.  Each worker holds a chunk's int8 compositions, its
-# visited flags and its int64 walk indices at once, so the bound sets the
-# scan's peak.  Measured on 2 cores (numpy 2.4.6), medians of 5 runs (2
-# for full 11) of wall s / peak MB, one process per run:
+# uint8 cycle states and its int64 walk indices at once, so the bound
+# sets the scan's peak.  Measured on 2 cores (numpy 2.4.6), medians of 5
+# runs (2 for full 11) of wall s / peak MB, one process per run:
 #   threads cells   full 9       full 10      full 11      thin 13
-#   2       2M      0.16 / 43    0.91 / 59    7.0 / 72     0.74 / 51
-#   2       1M      0.14 / 43    0.77 / 50    6.9 / 61     0.79 / 43
-#   2       500K    0.14 / 39    0.74 / 44    7.3 / 61     0.89 / 39
-#   1       2M      0.16 / 39    1.31 / 47    13.2 / 50    1.18 / 41
-#   1       1M      0.16 / 38    1.28 / 42    12.4 / 46    1.25 / 37
-#   1       500K    0.16 / 36    1.07 / 38    13.0 / 46    1.12 / 36
-# 2M peaks higher (full 9 level); 500K is faster at one thread but
-# slower for thin 13 and full 11 at two, so 1M stays.
+#   2       2M      0.16 / 41    0.73 / 56    5.7 / 67     0.57 / 46
+#   2       1M      0.19 / 41    0.72 / 47    6.1 / 60     0.62 / 40
+#   2       500K    0.14 / 38    0.70 / 43    6.4 / 59     0.71 / 38
+#   1       2M      0.14 / 38    1.07 / 45    10.1 / 49    1.00 / 39
+#   1       1M      0.14 / 37    1.15 / 41    8.8 / 45     0.88 / 36
+#   1       500K    0.15 / 35    0.92 / 38    9.0 / 45     0.90 / 35
+# 2M is faster for thin 13 and full 11 at two threads but peaks higher
+# everywhere; 500K is slower for thin 13 and full 11 at two, so 1M stays.
 _CHUNK_CELLS = 1_000_000
 
 # A swap-scan chunk composes its whole rectangle, also the cells before

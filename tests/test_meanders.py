@@ -94,11 +94,32 @@ class TestLoopCount:
         from meandrics.partitions import Permutation
         rows = [list(p) for n in range(1, 8) for p in itertools.permutations(range(n))]
         rng = np.random.default_rng(5)
-        rows += [rng.permutation(16).tolist() for _ in range(2000)]
+        # 32 is the largest n of the scans' int8 rows
+        for n in (13, 16, 32):
+            rows += [rng.permutation(n).tolist() for _ in range(2000)]
+            # rows rich in fixed points: the identity, every single
+            # transposition and random involutions
+            rows.append(list(range(n)))
+            for i, j in itertools.combinations(range(n), 2):
+                swap = list(range(n))
+                swap[i], swap[j] = j, i
+                rows.append(swap)
+            for _ in range(200):
+                moved = rng.permutation(n)[:2 * rng.integers(n // 2 + 1)]
+                involution = list(range(n))
+                for i, j in moved.reshape(-1, 2).tolist():
+                    involution[i], involution[j] = j, i
+                rows.append(involution)
         for n in sorted({len(r) for r in rows}):
-            perms = np.array([r for r in rows if len(r) == n], dtype=np.int16)
-            assert _cycle_counts(perms).tolist() == [
-                Permutation(p).cycle_count() for p in perms.tolist()], n
+            same_n = [r for r in rows if len(r) == n]
+            expected = [Permutation(r).cycle_count() for r in same_n]
+            for dtype in (np.int8, np.int16):
+                perms = np.array(same_n, dtype=dtype)
+                before = perms.copy()
+                counts = _cycle_counts(perms)
+                assert counts.dtype == np.int64
+                assert counts.tolist() == expected, (n, dtype)
+                assert np.array_equal(perms, before), (n, dtype)
 
     def test_pairwise_kernel_matches_scalar(self):
         rnd = random.Random(3)

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -313,12 +314,15 @@ class TestLattice:
     def test_meet_join_against_bruteforce(self):
         for n in range(1, 7):
             ncs = list(enumerate_nc(n))
-            for x, y in itertools.product(ncs, ncs):
+            index = {z: k for k, z in enumerate(ncs)}
+            # leq[a, b]: ncs[a].leq(ncs[b]), built once per n
+            leq = np.array([[a.leq(b) for b in ncs] for a in ncs])
+            for (xi, x), (yi, y) in itertools.product(enumerate(ncs), repeat=2):
                 m, j = nc_meet(x, y), nc_join(x, y)
-                ups = [z for z in ncs if x.leq(z) and y.leq(z)]
-                downs = [z for z in ncs if z.leq(x) and z.leq(y)]
-                assert j in ups and all(j.leq(z) for z in ups)
-                assert m in downs and all(z.leq(m) for z in downs)
+                ups = leq[xi] & leq[yi]
+                downs = leq[:, xi] & leq[:, yi]
+                assert j in index and ups[index[j]] and leq[index[j], ups].all()
+                assert m in index and downs[index[m]] and leq[downs, index[m]].all()
 
     @staticmethod
     def assert_checked(r):
