@@ -172,17 +172,32 @@ def loop_count(a: NcPartition, b: NcPartition) -> int:
 
 
 def loop_count_comb(q: CombSubset, b: NcPartition) -> int:
-    """Loop count via the comb formula
-    2 #{c in b' : Q & c = {}} + 1 - #(b') + |Q|,
-    valid when the Kr-interval meet of q and b is trivial."""
+    """Loop count via the comb formula of ``comb_loop_counts``, valid
+    when the Kr-interval meet of q and b is trivial."""
     if q.n != b.n:
         raise SizeMismatchError("different ground sets")
-    n = q.n
-    if q.q.intersection(b.block_containing(n - 1)):
+    if q.q.intersection(b.block_containing(q.n - 1)):
         raise MeetNotTrivialError(f"Q meets the block of n: {q!r}, {b!r}")
-    rest = [blk for blk in b.blocks if n - 1 not in blk]
-    empty = sum(1 for blk in rest if not q.q.intersection(blk))
-    return 2 * empty + 1 - len(rest) + len(q.q)
+    mask = sum(1 << i for i in q.q)
+    return int(comb_loop_counts(np.array([mask], dtype=np.int64), [b])[0, 0])
+
+
+def comb_loop_counts(q_masks: np.ndarray, bottoms: Sequence[NcPartition]) -> np.ndarray:
+    """(len(q_masks), len(bottoms)) int16 table of the comb formula
+    2 #{c in b' : Q & c = {}} + 1 - #(b') + |Q|,
+    where b' is the blocks of b other than the block of n and bit i of a
+    comb mask is i in Q.  It is the loop count of (Q, b) where Q misses
+    the block of n, and unchecked elsewhere: ``loop_count_comb`` is the
+    checked entry point.  The formula is evaluated once per bottom
+    partition, over the whole array of comb masks."""
+    sizes = np.array([int(m).bit_count() for m in q_masks], dtype=np.int16)
+    table = np.empty((len(q_masks), len(bottoms)), dtype=np.int16)
+    for j, b in enumerate(bottoms):
+        rest = np.array([sum(1 << i for i in blk) for blk in b.blocks if b.n - 1 not in blk],
+                        dtype=np.int64)
+        empty = np.count_nonzero((q_masks[:, None] & rest) == 0, axis=1)
+        table[:, j] = 2 * empty + 1 - len(rest) + sizes
+    return table
 
 
 def rainbow(n: int) -> NcPartition:

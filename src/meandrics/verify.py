@@ -25,6 +25,9 @@ _SEED = 20240809
 # (partition, subset) cells per subset-binomial batch
 _BATCH_CELLS = 1 << 18
 
+# the A and B values of the subset-binomial identity
+_AB_VALUES = (1, 2, 3)
+
 
 def set_partitions(m: int) -> Iterator[list[list[int]]]:
     """All set partitions of {1..m} via restricted growth strings."""
@@ -163,24 +166,29 @@ def check_meet_join_duality(n_max: int = 7) -> CheckResult:
     checked = 0
     for n in range(1, n_max + 1):
         ncs = list(partitions.enumerate_nc(n))
-        # memoize per distinct object: interval joins are determined by the
-        # intersection of separator sets, Kr-interval meets by the block of n
-        sep_masks = [partitions._separators(p) for p in ncs]
-        kr_bn_masks = [meanders._last_block_mask(p.kreweras().images) for p in ncs]
-        lhs_by_cuts: dict[int, partitions.NcPartition] = {}
-        rhs_by_q: dict[int, partitions.NcPartition] = {}
+        # interval joins are determined by the intersection of separator
+        # sets, Kr-interval meets by the block of n: each side of a pair is
+        # read from a table indexed by its mask, holding an id per distinct
+        # partition (-1 until the first pair with that mask fills it)
+        sep_masks = np.array([partitions._separators(p) for p in ncs])
+        kr_bn_masks = np.array([meanders._last_block_mask(p.kreweras().images) for p in ncs])
+        ids: dict[partitions.NcPartition, int] = {}
+        lhs_by_cuts = np.full(1 << (n - 1), -1)
+        rhs_by_q = np.full(1 << (n - 1), -1)
         for xi, x in enumerate(ncs):
-            for yi, y in enumerate(ncs):
-                cuts = sep_masks[xi] & sep_masks[yi]
-                if cuts not in lhs_by_cuts:
-                    lhs_by_cuts[cuts] = partitions.interval_join(x, y).kreweras()
-                qmask = kr_bn_masks[xi] & kr_bn_masks[yi]
-                if qmask not in rhs_by_q:
-                    rhs_by_q[qmask] = partitions.CombSubset(
-                        n, [i for i in range(n - 1) if qmask >> i & 1]).to_partition()
-                if lhs_by_cuts[cuts] != rhs_by_q[qmask]:
-                    return name, False, f"n={n}, x={x!r}, y={y!r}: duality fails"
-                checked += 1
+            cuts = sep_masks[xi] & sep_masks
+            qmask = kr_bn_masks[xi] & kr_bn_masks
+            for yi in np.flatnonzero(lhs_by_cuts[cuts] < 0):
+                if lhs_by_cuts[cuts[yi]] < 0:
+                    lhs = partitions.interval_join(x, ncs[yi]).kreweras()
+                    lhs_by_cuts[cuts[yi]] = ids.setdefault(lhs, len(ids))
+            for q in dict.fromkeys(qmask[rhs_by_q[qmask] < 0].tolist()):
+                rhs = partitions.CombSubset(n, [i for i in range(n - 1) if q >> i & 1])
+                rhs_by_q[q] = ids.setdefault(rhs.to_partition(), len(ids))
+            bad = np.flatnonzero(lhs_by_cuts[cuts] != rhs_by_q[qmask])
+            if bad.size:
+                return name, False, f"n={n}, x={x!r}, y={ncs[bad[0]]!r}: duality fails"
+            checked += len(ncs)
     return name, True, f"{checked} pairs, n<={n_max}"
 
 
@@ -194,24 +202,29 @@ def check_comb_loop_formula(n_max: int = 8) -> CheckResult:
         direct = meanders.pairwise_cycle_counts(comb_side.imgs, nc_side.imgs)
         # a comb's mask is its Q, and the formula needs Q to miss the block of n
         admissible = (comb_side.masks[:, None] & nc_side.masks[None, :]) == 0
-        for qi, bi in zip(*np.nonzero(admissible)):
-            q, b = combs[qi], ncs[bi]
-            formula = meanders.loop_count_comb(q, b)
-            if formula != int(direct[qi, bi]):
-                return name, False, (f"n={n}, Q={q!r}, beta={b!r}: "
-                                     f"{formula} != {int(direct[qi, bi])}")
-            checked += 1
+        formula = meanders.comb_loop_counts(comb_side.masks, ncs)
+        bad = np.argwhere(admissible & (formula != direct))
+        if len(bad):
+            qi, bi = bad[0]
+            return name, False, (f"n={n}, Q={combs[qi]!r}, beta={ncs[bi]!r}: "
+                                 f"{int(formula[qi, bi])} != {int(direct[qi, bi])}")
+        checked += int(np.count_nonzero(admissible))
     return name, True, f"{checked} admissible pairs, n<={n_max}"
 
 
-def check_subset_binomial(m_max: int = 10,
-                          ab_values: tuple[int, ...] = (1, 2, 3)) -> CheckResult:
-    name = "subset-binomial-identity"
-    # |lhs| <= (V+1)^m V^m and |rhs| <= (V+1)^m 2^m: int64 cannot wrap
+def _check_binomial_budget(m_max: int, ab_values: tuple[int, ...]) -> None:
+    """ResourceLimitError unless every subset-binomial sum up to m_max
+    fits int64: |lhs| <= (V+1)^m V^m and |rhs| <= (V+1)^m 2^m."""
     v = max(abs(x) for x in ab_values)
     if (v + 1) ** m_max * max(2, v) ** m_max >= 1 << 63:
         raise meanders.ResourceLimitError(
             f"subset-binomial sums at m={m_max}, |A|,|B|<={v} overflow int64")
+
+
+def check_subset_binomial(m_max: int = 10,
+                          ab_values: tuple[int, ...] = _AB_VALUES) -> CheckResult:
+    name = "subset-binomial-identity"
+    _check_binomial_budget(m_max, ab_values)
     checked = 0
     vals = np.array(ab_values, dtype=np.int64)
     for m in range(1, m_max + 1):
@@ -410,6 +423,19 @@ def _size_profiles(kind: str, n: int) -> dict[tuple, int]:
     return profiles
 
 
+def _profile_product(products: dict[tuple, LaurentPoly],
+                     factors: dict[int, LaurentPoly], prof: tuple) -> LaurentPoly:
+    """products[prof]: the product of the longest prefix of prof held in
+    products, times factors[size] for each later size, memoising every
+    longer prefix on the way, so each distinct profile costs one product."""
+    k = len(prof)
+    while prof[:k] not in products:
+        k -= 1
+    for j in range(k, len(prof)):
+        products[prof[:j + 1]] = products[prof[:j]] * factors[prof[j]]
+    return products[prof]
+
+
 def check_moment_cumulant_oracle(order: int = 10, trials: int = 4) -> CheckResult:
     name = "moment-cumulant-definition"
     rng = random.Random(_SEED + 1)
@@ -418,14 +444,12 @@ def check_moment_cumulant_oracle(order: int = 10, trials: int = 4) -> CheckResul
         kappas = {i: s.coefficient(i) for i in range(1, order + 1)}
         mb = transforms.boolean_transform(s)
         mf = transforms.free_transform(s)
+        products: dict[tuple, LaurentPoly] = {(): transforms.ONE}
         for n in range(1, order + 1):
             for series, kind in ((mb, "interval"), (mf, "nc")):
                 total = transforms.ZERO
                 for prof, count in _size_profiles(kind, n).items():
-                    prod = transforms.ONE * count
-                    for size in prof:
-                        prod = prod * kappas[size]
-                    total = total + prod
+                    total = total + _profile_product(products, kappas, prof) * count
                 if series.coefficient(n) != total:
                     return name, False, f"trial {t}, n={n}: partition sum differs"
     return name, True, f"{trials} random cumulant series, order {order}"
@@ -439,13 +463,12 @@ def check_last_block_sum(order: int = 8) -> CheckResult:
     lhs = transforms.last_block_sum(h, g)
     hc = {i: h.coefficient(i) for i in range(1, order + 1)}
     gc = {i: g.coefficient(i) for i in range(1, order + 1)}
+    # keyed (last, *rest): the one-element prefixes hold h's coefficients
+    products: dict[tuple, LaurentPoly] = {(last,): c for last, c in hc.items()}
     for n in range(1, order + 1):
         total = transforms.ZERO
         for (last, rest), count in _size_profiles("nc-last", n).items():
-            term = hc[last] * count
-            for size in rest:
-                term = term * gc[size]
-            total = total + term
+            total = total + _profile_product(products, gc, (last, *rest)) * count
         if lhs.coefficient(n) != total:
             return name, False, f"n={n}: composition differs from block sum"
     return name, True, f"h(X(1+g_hat)) equals the block sum, order {order}"
@@ -491,8 +514,12 @@ SUITES: dict[str, list[tuple[_Check, str]]] = {
 
 
 def run_suite(suite: str, budget: int | None = None) -> list[CheckResult]:
-    """Run one named suite (or 'all'); budget overrides each check's cap."""
+    """Run one named suite (or 'all'); budget overrides each check's cap.
+    The subset-binomial int64 guard is checked before any check runs, so
+    a refused budget costs no work."""
     names = list(SUITES) if suite == "all" else [suite]
+    if budget is not None and "lemmas" in names:
+        _check_binomial_budget(budget, _AB_VALUES)
     results = []
     for nm in names:
         for fn, cap_kw in SUITES[nm]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meandrics import meanders, partitions, verify
+from meandrics import cli, meanders, partitions, verify
 from meandrics.partitions import CombSubset, NcPartition
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
@@ -42,6 +42,19 @@ class TestBinomialSides:
     def test_int64_overflow_is_refused(self):
         with pytest.raises(meanders.ResourceLimitError):
             verify.check_subset_binomial(18)
+
+    @pytest.mark.parametrize("suite", ["lemmas", "all"])
+    def test_int64_overflow_is_refused_before_any_check(self, suite, monkeypatch, capsys):
+        def must_not_run(**kwargs):
+            raise AssertionError("a check ran before the budgets were checked")
+
+        for nm, checks in verify.SUITES.items():
+            monkeypatch.setitem(verify.SUITES, nm, [(must_not_run, kw) for _, kw in checks])
+        assert cli.main(["verify", suite, "--budget-override", "18"]) == cli.EXIT_RESOURCE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "error: subset-binomial sums at m=18, |A|,|B|<=3 overflow int64")
 
     def test_planted_fault_reports_first_counterexample(self, monkeypatch):
         real = verify.binomial_sides
@@ -95,6 +108,111 @@ class TestKrIntervalMeet:
             f"{NcPartition.singletons(3)!r} != {want!r}")
 
 
+class TestCombLoopFormula:
+    def test_scalar_entry_point_is_the_array_form(self):
+        for n in range(1, 8):
+            combs = list(partitions.enumerate_kr_interval(n))
+            ncs = list(partitions.enumerate_nc(n))
+            masks = meanders._side("kr-interval", n).masks
+            table = meanders.comb_loop_counts(masks, ncs)
+            assert table.shape == (len(combs), len(ncs))
+            for q, row in zip(combs, table):
+                for b, formula in zip(ncs, row):
+                    if q.q.intersection(b.block_containing(n - 1)):
+                        with pytest.raises(meanders.MeetNotTrivialError):
+                            meanders.loop_count_comb(q, b)
+                    else:
+                        assert meanders.loop_count_comb(q, b) == formula
+
+    def test_scalar_entry_point_checks_ground_sets(self):
+        with pytest.raises(partitions.SizeMismatchError):
+            meanders.loop_count_comb(CombSubset(3, []), NcPartition.singletons(4))
+
+    def test_planted_fault_reports_first_counterexample(self, monkeypatch):
+        n = 4
+        combs = list(partitions.enumerate_kr_interval(n))
+        ncs = list(partitions.enumerate_nc(n))
+        comb_side, nc_side = meanders._side("kr-interval", n), meanders._side("nc", n)
+        admissible = np.argwhere((comb_side.masks[:, None] & nc_side.masks) == 0).tolist()
+        # two admissible cells, the first in Q-major order holding the later beta
+        first = max((cell for cell in admissible if cell[0] == 1), key=lambda c: c[1])
+        later = next(cell for cell in admissible if cell[0] > 1 and cell[1] < first[1])
+        real = meanders.pairwise_cycle_counts
+
+        def faulty(a_imgs, b_imgs):
+            table = real(a_imgs, b_imgs)
+            if table.shape == (len(combs), len(ncs)) and a_imgs.shape[1] == n:
+                for qi, bi in (later, first):
+                    table[qi, bi] += 1
+            return table
+
+        monkeypatch.setattr(meanders, "pairwise_cycle_counts", faulty)
+        q, b = combs[first[0]], ncs[first[1]]
+        loops = meanders.loop_count(q.to_partition(), b)
+        assert verify.check_comb_loop_formula(5) == (
+            "comb-loop-count-formula", False,
+            f"n=4, Q={q!r}, beta={b!r}: {loops} != {loops + 1}")
+
+
+class TestMeetJoinDuality:
+    def test_planted_fault_reports_first_counterexample(self, monkeypatch):
+        n, planted = 5, (0b0110, 0b1001)
+        real = partitions.interval_join
+
+        def cuts(x, y):
+            return partitions._separators(x) & partitions._separators(y)
+
+        def faulty(x, y):
+            if x.n == n and cuts(x, y) in planted:
+                return NcPartition.full(n)
+            return real(x, y)
+
+        monkeypatch.setattr(partitions, "interval_join", faulty)
+        ncs = list(partitions.enumerate_nc(n))
+        x, y = next((x, y) for x in ncs for y in ncs if cuts(x, y) in planted)
+        assert verify.check_meet_join_duality(6) == (
+            "interval-join-kreweras-duality", False,
+            f"n=5, x={x!r}, y={y!r}: duality fails")
+
+
+class TestProfileSums:
+    @staticmethod
+    def plant(monkeypatch, planted):
+        """One more partition of the first block-size profile of each
+        planted (kind, n)."""
+        real = verify._size_profiles
+
+        def faulty(kind, n):
+            profiles = dict(real(kind, n))
+            if (kind, n) in planted:
+                profiles[next(iter(profiles))] += 1
+            return profiles
+
+        monkeypatch.setattr(verify, "_size_profiles", faulty)
+
+    def test_moment_cumulant_reports_first_counterexample(self, monkeypatch):
+        # n before kind: NC(4) is reached before Int(5)
+        self.plant(monkeypatch, {("interval", 5), ("nc", 4)})
+        assert verify.check_moment_cumulant_oracle() == (
+            "moment-cumulant-definition", False, "trial 0, n=4: partition sum differs")
+
+    def test_last_block_reports_first_counterexample(self, monkeypatch):
+        self.plant(monkeypatch, {("nc-last", 6), ("nc-last", 3)})
+        assert verify.check_last_block_sum() == (
+            "last-block-composition", False, "n=3: composition differs from block sum")
+
+
+# the reports of the array-form checks at each small budget
+_SMALL_BUDGET_REPORTS = {
+    1: [(verify.check_meet_join_duality, "1 pairs, n<=1"),
+        (verify.check_comb_loop_formula, "1 admissible pairs, n<=1"),
+        (verify.check_moment_cumulant_oracle, "4 random cumulant series, order 1")],
+    2: [(verify.check_meet_join_duality, "5 pairs, n<=2"),
+        (verify.check_comb_loop_formula, "4 admissible pairs, n<=2"),
+        (verify.check_moment_cumulant_oracle, "4 random cumulant series, order 2")],
+}
+
+
 @pytest.mark.parametrize("budget, binomial, meet", [
     (1, "9 (partition, A, B) triples, m<=1", "1 pairs, n<=1"),
     (2, "27 (partition, A, B) triples, m<=2", "5 pairs, n<=2"),
@@ -104,3 +222,5 @@ def test_small_budgets_match_recorded_reports(budget, binomial, meet):
         "subset-binomial-identity", True, binomial)
     assert verify.check_kr_interval_meet(budget) == (
         "kr-interval-meet-formula", True, meet)
+    for check, detail in _SMALL_BUDGET_REPORTS[budget]:
+        assert check(budget)[1:] == (True, detail)
