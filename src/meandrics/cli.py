@@ -18,7 +18,12 @@ closed early, as by ``| head``; nothing is printed), 2 usage error,
 2 and 3 with one ``error:`` line.  Every command checks its arguments
 and all its budgets, then opens ``--out``, then does the work, so an
 unwritable ``--out`` exits 2 before any work and an exit 3 leaves an
-existing ``--out`` file untouched.  All output is deterministic given the
+existing ``--out`` file untouched.  For ``verify`` the budgets are a
+plan checked first: ``verify.run_suite`` checks every cap in
+``verify.SUITE_CAPS`` for the named suites before the first check runs.
+The fixed caps of every command live in ``meanders``
+(``DEFAULT_BUDGETS``, ``ENUM_BUDGETS``, ``SERIES_BUDGETS`` and
+``NC_PAIR_TABLE_BUDGET``).  All output is deterministic given the
 arguments (and seed); warnings go to stderr so stdout stays stable.
 The MEANDER_THREADS environment variable caps the worker threads of
 every pair scan (loop polynomials, generating and cumulant coefficients,
@@ -41,11 +46,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-ENUM_BUDGETS = {"nc": 14, "interval": 16, "kr-interval": 16, "rainbow": 4096}
-# Largest ORDER of ``series``.  At these orders thin and semi take about
-# 2 s and 100-120 MB, shallow-top about 5-6 s and 50 MB (2 cores).
-SERIES_BUDGETS = {"thin": 64, "shallow-top": 28, "semi": 256}
 
 
 class _UsageError(Exception):
@@ -99,7 +99,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise _UsageError("n must be >= 1")
     budget = args.budget_override
     if budget is None:
-        budget = ENUM_BUDGETS[args.kind]
+        budget = meanders.ENUM_BUDGETS[args.kind]
     meanders._check_cap(f"{args.kind} enumeration", n, budget)
     with _output(args.out) as out:
         count = 0
@@ -131,7 +131,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     order = args.order
     if order < 1:
         raise _UsageError("order must be >= 1")
-    meanders._check_cap(f"{args.which} series", order, SERIES_BUDGETS[args.which])
+    meanders._check_cap(f"{args.which} series", order, meanders.SERIES_BUDGETS[args.which])
     with _output(args.out) as out:
         if args.which == "thin":
             series = transforms.thin_series(order)[0]
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="stream partitions as JSON lines")
-    p.add_argument("kind", choices=list(ENUM_BUDGETS))
+    p.add_argument("kind", choices=list(meanders.ENUM_BUDGETS))
     p.add_argument("n", type=int)
     p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--out", default=None)

@@ -112,12 +112,29 @@ class MeanderClass(enum.Enum):
     SEMI = "semi"                 # Int(n) x {rainbow}
 
 
+# The fixed caps of every command live here, beside the check that
+# enforces them.  Largest n of a class scan without an explicit budget.
 DEFAULT_BUDGETS: dict[MeanderClass, int] = {
     MeanderClass.FULL: 10,
     MeanderClass.SHALLOW_TOP: 10,
     MeanderClass.THIN: 16,
     MeanderClass.SEMI: 16,
 }
+# Largest n of ``enumerate KIND`` without --budget-override; verify's
+# profile-sum oracles, which enumerate NC(n), share the "nc" cap.
+ENUM_BUDGETS = {"nc": 14, "interval": 16, "kr-interval": 16, "rainbow": 4096}
+# Largest ORDER of ``series``.  At these orders thin and semi take about
+# 2 s and 100-120 MB, shallow-top about 5-6 s and 50 MB (2 cores).
+SERIES_BUDGETS = {"thin": 64, "shallow-top": 28, "semi": 256}
+# Largest --budget-override of ``verify lemmas``.  Its
+# kreweras-loop-invariance check holds two plain NC(n) x NC(n) int64
+# cycle-count tables at once, which set the suite's peak.  Measured on 2
+# cores (numpy 2.4.6, MEANDER_THREADS=2), one process per run: the suite
+# at n = 8 takes 2.0 s and peaks at 91 MB, at n = 9 14.6 s and 613 MB
+# (that check alone 4.9 s and 597 MB).  NC(10) x NC(10) is 282,105,616
+# cells, 11.9x the 23,639,044 of n = 9; scaled from the n = 9 peak that
+# is about 7 GB, so n = 10 was not run.
+NC_PAIR_TABLE_BUDGET = 9
 
 
 def _check_cap(what: str, n: int, cap: int) -> None:

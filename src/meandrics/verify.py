@@ -9,7 +9,7 @@ seeded with fixed constants so repeated runs print identical reports.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -513,13 +513,36 @@ SUITES: dict[str, list[tuple[_Check, str]]] = {
 }
 
 
+# The suites ``verify all`` runs, in order.  A later suite runs by its own
+# name, so the pinned stdout of ``verify all`` stays as it is.
+ALL = ("lemmas", "thin", "shallow-top", "semi", "transforms")
+
+# The caps each suite's checks reach at --budget-override N: each entry
+# takes N and raises ResourceLimitError past its cap.
+SUITE_CAPS: dict[str, tuple[Callable[[int], None], ...]] = {
+    # the int64 guard first, so that it names an overflow where it applies
+    "lemmas": (partial(_check_binomial_budget, ab_values=_AB_VALUES),
+               partial(meanders._check_cap, "NC(n) x NC(n) cycle-count table",
+                       cap=meanders.NC_PAIR_TABLE_BUDGET)),
+    "thin": (partial(meanders._check_budget, MeanderClass.THIN, budget=None),),
+    "shallow-top": (partial(meanders._check_budget, MeanderClass.SHALLOW_TOP, budget=None),),
+    "semi": (partial(meanders._check_budget, MeanderClass.SEMI, budget=None),),
+    # the profile-sum oracles enumerate NC(n)
+    "transforms": (partial(meanders._check_cap, "nc enumeration",
+                           cap=meanders.ENUM_BUDGETS["nc"]),),
+}
+
+
 def run_suite(suite: str, budget: int | None = None) -> list[CheckResult]:
-    """Run one named suite (or 'all'); budget overrides each check's cap.
-    The subset-binomial int64 guard is checked before any check runs, so
+    """Run one named suite, or the suites of ALL for 'all'; budget
+    overrides each check's cap.  The plan is checked first: every entry
+    of SUITE_CAPS for every named suite, before the first check runs, so
     a refused budget costs no work."""
-    names = list(SUITES) if suite == "all" else [suite]
-    if budget is not None and "lemmas" in names:
-        _check_binomial_budget(budget, _AB_VALUES)
+    names = ALL if suite == "all" else (suite,)
+    if budget is not None:
+        for nm in names:
+            for check_cap in SUITE_CAPS[nm]:
+                check_cap(budget)
     results = []
     for nm in names:
         for fn, cap_kw in SUITES[nm]:

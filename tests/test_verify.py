@@ -43,18 +43,29 @@ class TestBinomialSides:
         with pytest.raises(meanders.ResourceLimitError):
             verify.check_subset_binomial(18)
 
-    @pytest.mark.parametrize("suite", ["lemmas", "all"])
-    def test_int64_overflow_is_refused_before_any_check(self, suite, monkeypatch, capsys):
+    # the int64 guard comes first in the lemmas plan, so m=18 keeps its line
+    @pytest.mark.parametrize("suite, budget, error", [
+        ("lemmas", 18, "subset-binomial sums at m=18, |A|,|B|<=3 overflow int64"),
+        ("all", 18, "subset-binomial sums at m=18, |A|,|B|<=3 overflow int64"),
+        ("lemmas", 10, "NC(n) x NC(n) cycle-count table at n=10 exceeds budget 9"),
+        ("all", 10, "NC(n) x NC(n) cycle-count table at n=10 exceeds budget 9"),
+        ("thin", 17, "thin enumeration at n=17 exceeds budget 16"),
+        ("shallow-top", 11, "shallow-top enumeration at n=11 exceeds budget 10"),
+        ("semi", 17, "semi enumeration at n=17 exceeds budget 16"),
+        ("transforms", 15, "nc enumeration at n=15 exceeds budget 14"),
+    ], ids=["lemmas", "all", "lemmas-10", "all-10", "thin-17", "shallow-top-11", "semi-17",
+            "transforms-15"])
+    def test_int64_overflow_is_refused_before_any_check(self, suite, budget, error,
+                                                        monkeypatch, capsys):
         def must_not_run(**kwargs):
             raise AssertionError("a check ran before the budgets were checked")
 
         for nm, checks in verify.SUITES.items():
             monkeypatch.setitem(verify.SUITES, nm, [(must_not_run, kw) for _, kw in checks])
-        assert cli.main(["verify", suite, "--budget-override", "18"]) == cli.EXIT_RESOURCE
+        assert cli.main(["verify", suite, "--budget-override", str(budget)]) == cli.EXIT_RESOURCE
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines()[-1] == (
-            "error: subset-binomial sums at m=18, |A|,|B|<=3 overflow int64")
+        assert err.splitlines()[-1] == f"error: {error}"
 
     def test_planted_fault_reports_first_counterexample(self, monkeypatch):
         real = verify.binomial_sides
@@ -71,6 +82,28 @@ class TestBinomialSides:
         assert verify.check_subset_binomial(4) == (
             "subset-binomial-identity", False,
             f"m=3, blocks=[[1, 3], [2]], A=2, B=3: {lhs} != {rhs + 1}")
+
+
+class TestSuitePlan:
+    @pytest.mark.parametrize("suite, budget", [
+        ("lemmas", meanders.NC_PAIR_TABLE_BUDGET),
+        ("thin", 16), ("shallow-top", 10), ("semi", 16), ("transforms", 14)])
+    def test_the_plan_passes_at_each_cap(self, suite, budget, monkeypatch, capsys):
+        calls = []
+
+        def stub(**kwargs):
+            calls.append(kwargs)
+            return "stub", True, "not run"
+
+        for nm, checks in verify.SUITES.items():
+            monkeypatch.setitem(verify.SUITES, nm, [(stub, kw) for _, kw in checks])
+        assert cli.main(["verify", suite, "--budget-override", str(budget)]) == cli.EXIT_OK
+        assert calls == [{kw: budget} for _, kw in verify.SUITES[suite]]
+        assert capsys.readouterr().out.endswith(f"{len(calls)}/{len(calls)} checks passed\n")
+
+    def test_all_is_todays_five_suites_each_with_a_plan(self):
+        assert verify.ALL == ("lemmas", "thin", "shallow-top", "semi", "transforms")
+        assert verify.SUITE_CAPS.keys() == verify.SUITES.keys()
 
 
 class TestKrIntervalMeet:
