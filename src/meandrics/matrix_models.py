@@ -501,16 +501,14 @@ def check_target_budget(model: Model, n: int, l: int) -> None:
 # costing about TRACE_CALL of them (4 us), plus per sample about
 # TRACE_SAMPLE (0.35 us) and D^3 for a product of two D x D matrices.  A
 # trace may cost TRACE_MULADDS (30 s), and hold (``_trace_cost``) at
-# most TRACE_CELLS complex numbers, 256 MiB; when one batch's word tree
-# is split over the pool, each further MEANDER_THREADS worker holds its
-# own products.  The cells are counted for all samples at once, though
-# ``estimate`` holds at most _BATCH_CELLS of them at a time, over all
-# the batches in flight, so for several batches that term over-counts
-# by their number.  Integers, so that no size overflows a float.  The
-# model overestimates: gue-df at n=5, l=2, d=32 and 100
-# samples, the largest trace of the benchmark, is 3.4 s by the model and
-# took 1.3 s; wishart-pt at n=5, l=2, d=32, 400 samples is 18 s and took
-# 12 s for the whole estimate.
+# most TRACE_CELLS complex numbers, 256 MiB, in a batch of one sample;
+# ``estimate`` holds at most _BATCH_CELLS at a time over larger batches.
+# When one batch's word tree is split over the pool, each further
+# MEANDER_THREADS worker holds its own products.  Integers, so that no
+# size overflows a float.  The model overestimates: gue-df at n=5, l=2,
+# d=32 and 100 samples, the largest trace of the benchmark, is 3.4 s by
+# the model and took 1.3 s; wishart-pt at n=5, l=2, d=32, 400 samples is
+# 18 s and took 12 s for the whole estimate.
 TRACE_CALL = 8_000
 TRACE_SAMPLE = 700
 TRACE_MULADDS = 60 * 10 ** 9
@@ -522,9 +520,8 @@ def _trace_cost(model: Model, n: int, l: int, d: int, samples: int,
     """(multiply-adds, complex cells) of a sampled model's trace by the
     model above.  The cells are the operands and what the walk holds per
     sample and chain: one product per level of the word tree, or for
-    shallow-top Z0, Z and two powers of Z.  They are summed over all
-    samples, which over-counts what ``estimate`` holds, one batch of
-    samples at a time; with samples=1 they size its batches."""
+    shallow-top Z0, Z and two powers of Z, counted for one sample: they
+    also size ``estimate``'s batches."""
     if model is Model.GUE_DF:       # one conjugate chain over the l B_i
         m, length, dim, chains, held = l, 2 * n, d, 1, l + 2 * n
     elif model is Model.SHALLOW_TOP:
@@ -535,7 +532,7 @@ def _trace_cost(model: Model, n: int, l: int, d: int, samples: int,
         chains = 2 if second_map == "independent" else 1
     nodes = length if m == 1 else (m ** (length + 1) - m) // (m - 1)
     call = TRACE_CALL + samples * (TRACE_SAMPLE + dim ** 3)
-    return chains * nodes * call, chains * samples * dim * dim * held
+    return chains * nodes * call, chains * dim * dim * held
 
 
 def trace_budget(model: Model, l: int, d: int, samples: int,

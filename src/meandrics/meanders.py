@@ -8,11 +8,11 @@ forms of the combinatorial counting lemmas.
 
 It is the one place that knows what a side is.  ``side_partitions``
 names the four side kinds (NC(n), Int(n), Kr Int(n) as comb partitions,
-and the rainbow), and ``_side`` turns one (kind, n) into a table of
-read-only numpy rows, built once and shared by every scan: geodesic
-one-line images, block counts and the block of n (without n) as a
-bitmask.  Row i is the i-th partition that ``side_partitions`` (and so
-the ``enumerate`` command) yields.  The class and cumulant scans read
+and the rainbow), and ``_side`` streams one (kind, n) from its
+enumerator into a table of read-only numpy rows, built once and shared
+by every scan: geodesic one-line images, block counts and the block of
+n (without n) as a bitmask.  Row i is the i-th partition that
+``side_partitions`` (and so the ``enumerate`` command) yields.  The class and cumulant scans read
 both their sides from it through ``_CLASS_SIDES`` and ``_KR_SIDES``.
 
 The exhaustive pair scans are vectorized with numpy but remain honest
@@ -60,8 +60,8 @@ pairs (0.42M its rows' own; 0.80M with the dihedral group in place of
 <Kr, reflection>), full n=11 43.2M (43.1M; 84.5M), thin n=13 4.31M
 (4.24M; 8.5M with the orbits alone) and Kr thin n=12 2.16M (2.10M;
 4.19M).  One reducer, ``_pair_histogram``, serves every class and
-cumulant scan; ``pairwise_cycle_counts`` keeps the plain, unreduced
-table that verify and the tests compare against.
+cumulant scan; ``pairwise_cycle_counts`` fills the plain, unreduced
+table that verify and the tests compare against, chunk by chunk.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -127,13 +127,13 @@ ENUM_BUDGETS = {"nc": 14, "interval": 16, "kr-interval": 16, "rainbow": 4096}
 # 2 s and 100-120 MB, shallow-top about 5-6 s and 50 MB (2 cores).
 SERIES_BUDGETS = {"thin": 64, "shallow-top": 28, "semi": 256}
 # Largest --budget-override of ``verify lemmas``.  Its
-# kreweras-loop-invariance check holds two plain NC(n) x NC(n) int64
-# cycle-count tables at once, which set the suite's peak.  Measured on 2
-# cores (numpy 2.4.6, MEANDER_THREADS=2), one process per run: the suite
-# at n = 8 takes 2.0 s and peaks at 91 MB, at n = 9 14.6 s and 613 MB
-# (that check alone 4.9 s and 597 MB).  NC(10) x NC(10) is 282,105,616
-# cells, 11.9x the 23,639,044 of n = 9; scaled from the n = 9 peak that
-# is about 7 GB, so n = 10 was not run.
+# kreweras-loop-invariance check holds one plain NC(n) x NC(n) int64
+# cycle-count table, which sets the suite's peak.  Measured on 2 cores
+# (numpy 2.4.6, MEANDER_THREADS=2), one process per run: the suite at
+# n = 8 takes 2.2-2.3 s and peaks at 63-65 MB, at n = 9 13.4-15.6 s and
+# 252 MB (that check alone 2.6 s and 247 MB).  NC(10) x NC(10) is
+# 282,105,616 cells, 11.9x the 23,639,044 of n = 9, so that one table
+# alone is 2.3 GB; n = 10 was not run.
 NC_PAIR_TABLE_BUDGET = 9
 
 
@@ -290,10 +290,13 @@ def _ordered_map(fn: Callable[[_T], _R], items: Sequence[_T]) -> Iterator[_R]:
 
 
 def _geodesic_rows(parts: Iterable[NcPartition]) -> tuple[np.ndarray, np.ndarray]:
-    """One-line geodesic images and block counts for a family of
-    partitions.  The images are each partition's own, so they need no
-    Permutation check, and the block counts are their cycle counts."""
-    imgs = np.array([part.images for part in parts], dtype=np.int8)
+    """One-line geodesic images, streamed into an int8 table, and block
+    counts of a nonempty family of partitions.  The images are each
+    partition's own, so they need no Permutation check."""
+    parts = iter(parts)
+    first = next(parts)
+    flat = chain(first.images, chain.from_iterable(p.images for p in parts))
+    imgs = np.fromiter(flat, dtype=np.int8).reshape(-1, first.n)
     return imgs, _cycle_counts(imgs)
 
 
@@ -313,14 +316,19 @@ def side_partitions(kind: str, n: int) -> Iterator[NcPartition]:
     raise ValueError(f"unknown side kind {kind!r}")
 
 
-def _last_block_mask(images: Sequence[int]) -> int:
-    """Bitmask of the block of n - 1, without n - 1, read from geodesic
-    images: the cycle of n - 1 climbs from the block's minimum to n - 1."""
-    last = len(images) - 1
-    mask, i = 0, images[last]
-    while i != last:
-        mask, i = mask | 1 << i, images[i]
-    return mask
+def _last_block_masks(imgs: np.ndarray) -> np.ndarray:
+    """int64 bitmasks of the block of n - 1, without n - 1, of geodesic rows:
+    its cycle, walked as in ``_cycle_counts``, climbs from the minimum."""
+    m, n = imgs.shape
+    masks = np.zeros(m, dtype=np.int64)
+    base = np.arange(m) * n
+    nxt = imgs.take(base + n - 1)
+    while base.size:
+        keep = nxt != n - 1
+        base, nxt = base[keep], nxt[keep]
+        masks[base // n] |= np.left_shift(1, nxt, dtype=np.int64)
+        nxt = imgs.take(base + nxt)
+    return masks
 
 
 class Side(NamedTuple):
@@ -335,9 +343,8 @@ class Side(NamedTuple):
 @lru_cache(maxsize=None)
 def _side(kind: str, n: int) -> Side:
     """The side table of (kind, n), built once and shared by every scan."""
-    parts = list(side_partitions(kind, n))
-    imgs, blocks = _geodesic_rows(parts)
-    masks = np.array([_last_block_mask(p.images) for p in parts], dtype=np.int64)
+    imgs, blocks = _geodesic_rows(side_partitions(kind, n))
+    masks = _last_block_masks(imgs)
     for arr in (imgs, blocks, masks):
         arr.setflags(write=False)
     return Side(imgs, blocks, masks)
@@ -525,9 +532,14 @@ def _cells(total: np.ndarray) -> dict[tuple[int, int, int], int]:
 
 
 def pairwise_cycle_counts(a_imgs: np.ndarray, b_imgs: np.ndarray) -> np.ndarray:
-    """(MA, MB) array of #cycles(alpha~ beta) for one-line image rows."""
-    blocks = list(_scan_pairs(a_imgs, b_imgs, lambda rows, cols, counts: counts))
-    return np.concatenate(blocks) if blocks else np.empty((0, len(b_imgs)), dtype=np.int64)
+    """(MA, MB) int64 array of #cycles(alpha~ beta) for one-line image rows."""
+    table = np.empty((len(a_imgs), len(b_imgs)), dtype=np.int64)
+
+    def fill(rows: slice, cols: slice, counts: np.ndarray) -> None:
+        table[rows, cols] = counts
+
+    deque(_scan_pairs(a_imgs, b_imgs, fill), maxlen=0)
+    return table
 
 
 # (top, bottom) side kinds of each class scan

@@ -171,7 +171,8 @@ def check_meet_join_duality(n_max: int = 7) -> CheckResult:
         # read from a table indexed by its mask, holding an id per distinct
         # partition (-1 until the first pair with that mask fills it)
         sep_masks = np.array([partitions._separators(p) for p in ncs])
-        kr_bn_masks = np.array([meanders._last_block_mask(p.kreweras().images) for p in ncs])
+        kr_bn_masks = meanders._last_block_masks(
+            np.array([p.kreweras().images for p in ncs], dtype=np.int8))
         ids: dict[partitions.NcPartition, int] = {}
         lhs_by_cuts = np.full(1 << (n - 1), -1)
         rhs_by_q = np.full(1 << (n - 1), -1)
@@ -245,14 +246,19 @@ def check_kreweras_loop_invariance(n_max: int = 7) -> CheckResult:
     checked = 0
     for n in range(1, n_max + 1):
         ncs = list(partitions.enumerate_nc(n))
+        # kr[i], the row of Kr ncs[i]: the Kr pair of cell (i, j) is (kr[i], kr[j])
+        row = {p: i for i, p in enumerate(ncs)}
+        kr = np.array([row.get(p.kreweras(), -1) for p in ncs])
+        if (kr < 0).any():
+            return name, False, f"n={n}, alpha={ncs[kr.argmin()]!r}: Kr alpha is not in NC(n)"
         imgs = meanders._side("nc", n).imgs
-        kr_imgs, _ = meanders._geodesic_rows(p.kreweras() for p in ncs)
         plain = meanders.pairwise_cycle_counts(imgs, imgs)
-        krd = meanders.pairwise_cycle_counts(kr_imgs, kr_imgs)
-        if not np.array_equal(plain, krd):
-            i, j = (int(v[0]) for v in np.nonzero(plain != krd))
-            return name, False, (f"n={n}, alpha={ncs[i]!r}, beta={ncs[j]!r}: "
-                                 f"{int(plain[i, j])} != {int(krd[i, j])}")
+        for i in range(len(ncs)):
+            bad = np.flatnonzero(plain[i] != plain[kr[i], kr])
+            if bad.size:
+                j = int(bad[0])
+                return name, False, (f"n={n}, alpha={ncs[i]!r}, beta={ncs[j]!r}: "
+                                     f"{int(plain[i, j])} != {int(plain[kr[i], kr[j]])}")
         checked += plain.size
     return name, True, f"{checked} pairs, n<={n_max}"
 

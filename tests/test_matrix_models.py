@@ -572,7 +572,7 @@ class TestTraceBudget:
         assert trace_budget(Model.GUE_DF, 2, 32, 400) == 5
         assert trace_budget(Model.NC_NC, 3, 8, 400) == 4
         # operands alone over the cell budget
-        assert trace_budget(Model.GUE_DF, 64, 32, 400) == 0
+        assert trace_budget(Model.GUE_DF, 64, 512, 400) == 0
         # one letter: the cost grows linearly in n, and the budget is finite
         assert 0 < trace_budget(Model.GUE_DF, 1, 2, 1) < 10 ** 8
 
@@ -588,6 +588,12 @@ class TestTraceBudget:
                                          second_map=second_map))
         with pytest.raises(ResourceLimitError, match="at n=8 exceeds budget 7"):
             check_trace_budget(ModelSpec(Model.NC_NC, 8, 2, 8, 400, SEED))
+
+    def test_cells_are_charged_for_one_sample(self):
+        # 2 chains x 4 cells x 7 held per sample: within the cell budget
+        # however many samples estimate runs, one batch at a time
+        check_trace_budget(ModelSpec(Model.NC_NC, 3, 2, 2, 400000, 0))
+        assert trace_budget(Model.NC_NC, 2, 2, 400000) == 3
 
     def test_estimate_refuses_over_budget(self):
         spec = ModelSpec(Model.GUE_DF, 9, 2, 8, 400, SEED)

@@ -208,6 +208,39 @@ class TestMeetJoinDuality:
             f"n=5, x={x!r}, y={y!r}: duality fails")
 
 
+class TestKrewerasLoopInvariance:
+    def test_planted_fault_reports_first_counterexample(self, monkeypatch):
+        n = 4
+        ncs = list(partitions.enumerate_nc(n))
+        # a wrong Kr image for one alpha, itself a row of NC(4); the first
+        # failing pair in row order lies in an earlier row, in its column
+        bad, wrong = ncs[2], ncs[6].kreweras()
+        real = NcPartition.kreweras
+
+        def kr(p):
+            return wrong if p == bad else real(p)
+
+        monkeypatch.setattr(NcPartition, "kreweras", kr)
+        a, b = next((a, b) for a in ncs for b in ncs
+                    if meanders.loop_count(a, b) != meanders.loop_count(kr(a), kr(b)))
+        assert (ncs.index(a), ncs.index(b)) == (1, 2)
+        assert verify.check_kreweras_loop_invariance(5) == (
+            "kreweras-loop-invariance", False,
+            f"n=4, alpha={a!r}, beta={b!r}: "
+            f"{meanders.loop_count(a, b)} != {meanders.loop_count(kr(a), kr(b))}")
+
+    def test_image_outside_nc_fails_without_raising(self, monkeypatch):
+        n = 4
+        bad = list(partitions.enumerate_nc(n))[5]
+        crossing = NcPartition._trusted((2, 3, 0, 1))     # {1,3}{2,4}
+        real = NcPartition.kreweras
+        monkeypatch.setattr(NcPartition, "kreweras",
+                            lambda p: crossing if p == bad else real(p))
+        assert verify.check_kreweras_loop_invariance(5) == (
+            "kreweras-loop-invariance", False,
+            f"n=4, alpha={bad!r}: Kr alpha is not in NC(n)")
+
+
 class TestProfileSums:
     @staticmethod
     def plant(monkeypatch, planted):
