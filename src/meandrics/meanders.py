@@ -487,17 +487,17 @@ _SKIP_CAP = 8
 
 def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
                 reduce: Callable[[slice, slice, np.ndarray], _R],
-                first: np.ndarray | None = None) -> Iterator[_R]:
+                first: np.ndarray) -> Iterator[_R]:
     """reduce(rows, cols, counts) for each chunk of A rows, in chunk order.
 
     rows is the chunk's slice of A and cols the slice of B it reads;
-    counts is the (rows, cols) table of #cycles(alpha~ beta).  Without
-    first, every chunk reads all of B.  first, one nondecreasing B column
-    per A row, starts row i's own columns: a chunk counts the suffix of
-    B from its first row's column, the reducer discards each row's cells
-    before its own, and a chunk ends before a row whose own columns start
-    more than 1/_SKIP_CAP of the way in.  Chunks hold at most about
-    _CHUNK_CELLS cells and are mapped over the
+    counts is the (rows, cols) table of #cycles(alpha~ beta).  first, one
+    nondecreasing B column per A row, starts row i's own columns: a chunk
+    counts the suffix of B from its first row's column, the reducer
+    discards each row's cells before its own, and a chunk ends before a
+    row whose own columns start more than 1/_SKIP_CAP of the way in.  A
+    zero column makes every chunk read all of B, uncut.  Chunks hold at
+    most about _CHUNK_CELLS cells and are mapped over the
     MEANDER_THREADS pool by ``_ordered_map``, whose iterator this is, so
     a caller that folds the results holds at most MEANDER_THREADS + 1."""
     ma, n = a_imgs.shape
@@ -506,11 +506,10 @@ def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
     bounds = []
     start = 0
     while start < ma:
-        c0 = 0 if first is None else int(first[start])
+        c0 = int(first[start])
         stop = min(ma, start + max(1, _CHUNK_CELLS // max(1, (mb - c0) * n)))
-        if first is not None:
-            cap = c0 + (mb - c0) // _SKIP_CAP
-            stop = min(stop, int(np.searchsorted(first, cap, "right")))
+        cap = c0 + (mb - c0) // _SKIP_CAP
+        stop = min(stop, int(np.searchsorted(first, cap, "right")))
         bounds.append((slice(start, stop), slice(c0, mb)))
         start = stop
 
@@ -538,7 +537,7 @@ def pairwise_cycle_counts(a_imgs: np.ndarray, b_imgs: np.ndarray) -> np.ndarray:
     def fill(rows: slice, cols: slice, counts: np.ndarray) -> None:
         table[rows, cols] = counts
 
-    deque(_scan_pairs(a_imgs, b_imgs, fill), maxlen=0)
+    deque(_scan_pairs(a_imgs, b_imgs, fill, np.zeros(len(a_imgs), dtype=np.intp)), maxlen=0)
     return table
 
 
@@ -587,8 +586,7 @@ def _pair_histogram(klass: MeanderClass, n: int,
     last = np.cumsum(sizes)
     first = last - sizes
     reps = order[first]
-    swap = top == bottom
-    if swap:
+    if top == bottom:
         # B in A's orbit order: representative i's own orbit is
         # B[first[i]:last[i]]
         b_rows = order
@@ -634,8 +632,7 @@ def _pair_histogram(klass: MeanderClass, n: int,
         return even
 
     # sum drops each histogram once added, before it takes the next
-    return _cells(sum(_scan_pairs(a.imgs[reps], b.imgs[b_rows], histogram,
-                                  first if swap else None)))
+    return _cells(sum(_scan_pairs(a.imgs[reps], b.imgs[b_rows], histogram, first)))
 
 
 def meander_polynomial(klass: MeanderClass, n: int,

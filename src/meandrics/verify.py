@@ -213,21 +213,20 @@ def check_comb_loop_formula(n_max: int = 8) -> CheckResult:
     return name, True, f"{checked} admissible pairs, n<={n_max}"
 
 
-def _check_binomial_budget(m_max: int, ab_values: tuple[int, ...]) -> None:
+def _check_binomial_budget(m_max: int) -> None:
     """ResourceLimitError unless every subset-binomial sum up to m_max
     fits int64: |lhs| <= (V+1)^m V^m and |rhs| <= (V+1)^m 2^m."""
-    v = max(abs(x) for x in ab_values)
+    v = max(abs(x) for x in _AB_VALUES)
     if (v + 1) ** m_max * max(2, v) ** m_max >= 1 << 63:
         raise meanders.ResourceLimitError(
             f"subset-binomial sums at m={m_max}, |A|,|B|<={v} overflow int64")
 
 
-def check_subset_binomial(m_max: int = 10,
-                          ab_values: tuple[int, ...] = _AB_VALUES) -> CheckResult:
+def check_subset_binomial(m_max: int = 10) -> CheckResult:
     name = "subset-binomial-identity"
-    _check_binomial_budget(m_max, ab_values)
+    _check_binomial_budget(m_max)
     checked = 0
-    vals = np.array(ab_values, dtype=np.int64)
+    vals = np.array(_AB_VALUES, dtype=np.int64)
     for m in range(1, m_max + 1):
         for labels in rgs_batches(m, max(1, _BATCH_CELLS >> m)):
             lhs, rhs = binomial_sides(labels, vals)
@@ -300,19 +299,21 @@ def check_thin_cumulants(n_max: int = 8) -> CheckResult:
     return name, True, f"kappa_n == (AB+(A+B)Y)^(n-1), n<={n_max}"
 
 
-def check_thin_matrix_model(n_max: int = 16, l_max: int = 5) -> CheckResult:
+def check_thin_matrix_model(n_max: int = 16) -> CheckResult:
     name = "thin-matrix-model-exact"
+    l_max = 5
     for l in range(1, l_max + 1):
         for n in range(1, n_max + 1):
-            got = matrix_models.thin_exact(n, l)   # asserts the closed form
+            got = matrix_models.thin_exact(n, l)
             want = l * (2 + 2 * l) ** (n - 1)
             if got != want:
                 return name, False, f"n={n}, l={l}: {got} != {want}"
     return name, True, f"integer equality, n<={n_max}, l<={l_max}"
 
 
-def check_thin_matrix_vs_polynomial(n_max: int = 12, l_max: int = 3) -> CheckResult:
+def check_thin_matrix_vs_polynomial(n_max: int = 12) -> CheckResult:
     name = "thin-matrix-model-vs-brute-force"
+    l_max = 3
     for n in range(1, n_max + 1):
         poly = meanders.meander_polynomial(MeanderClass.THIN, n)
         for l in range(1, l_max + 1):
@@ -401,8 +402,9 @@ def _random_series(order: int, rng: random.Random) -> TruncSeries:
     return TruncSeries.from_function(order, poly)
 
 
-def check_transform_round_trips(order: int = 12, trials: int = 8) -> CheckResult:
+def check_transform_round_trips(order: int = 12) -> CheckResult:
     name = "transform-round-trips"
+    trials = 8
     rng = random.Random(_SEED)
     for t in range(trials):
         s = _random_series(order, rng)
@@ -442,8 +444,9 @@ def _profile_product(products: dict[tuple, LaurentPoly],
     return products[prof]
 
 
-def check_moment_cumulant_oracle(order: int = 10, trials: int = 4) -> CheckResult:
+def check_moment_cumulant_oracle(order: int = 10) -> CheckResult:
     name = "moment-cumulant-definition"
+    trials = 4
     rng = random.Random(_SEED + 1)
     for t in range(trials):
         s = _random_series(order, rng)
@@ -527,7 +530,7 @@ ALL = ("lemmas", "thin", "shallow-top", "semi", "transforms")
 # takes N and raises ResourceLimitError past its cap.
 SUITE_CAPS: dict[str, tuple[Callable[[int], None], ...]] = {
     # the int64 guard first, so that it names an overflow where it applies
-    "lemmas": (partial(_check_binomial_budget, ab_values=_AB_VALUES),
+    "lemmas": (_check_binomial_budget,
                partial(meanders._check_cap, "NC(n) x NC(n) cycle-count table",
                        cap=meanders.NC_PAIR_TABLE_BUDGET)),
     "thin": (partial(meanders._check_budget, MeanderClass.THIN, budget=None),),

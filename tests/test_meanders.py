@@ -417,6 +417,37 @@ class TestOrbitReduction:
             _pair_histogram.cache_clear()
         assert sum(composed) <= 0.55 * len(sizes) * len(side.imgs)
 
+    def test_plain_table_reads_all_of_b(self, monkeypatch):
+        # pairwise_cycle_counts passes a zero first column: every chunk
+        # reads all of B and the table composes exactly MA x MB pairs,
+        # none of them discarded (NC(8) x Int(8) takes several chunks)
+        from meandrics import meanders as mod
+        # the side tables count their own blocks with _cycle_counts
+        a_imgs, b_imgs = _side("nc", 8).imgs, _side("interval", 8).imgs
+        composed, cols_read = [], []
+        cycle_counts = mod._cycle_counts
+
+        def counted(perms):
+            composed.append(len(perms))
+            return cycle_counts(perms)
+
+        monkeypatch.setattr(mod, "_cycle_counts", counted)
+        scan = mod._scan_pairs
+
+        def recorded_scan(a_imgs, b_imgs, reduce, first):
+            def record(rows, cols, counts):
+                cols_read.append(cols)
+                return reduce(rows, cols, counts)
+            return scan(a_imgs, b_imgs, record, first)
+
+        monkeypatch.setattr(mod, "_scan_pairs", recorded_scan)
+        table = pairwise_cycle_counts(a_imgs, b_imgs)
+        ma, mb = len(a_imgs), len(b_imgs)
+        assert table.shape == (ma, mb)
+        assert len(cols_read) > 1
+        assert cols_read == [slice(0, mb)] * len(cols_read)
+        assert sum(composed) == ma * mb
+
     def test_full_orbit_counts(self):
         # <Kr, reflection> orbits of NC(n), a group of order 4n
         want = [1, 1, 2, 3, 6, 12, 27, 65, 175, 490]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meandrics import cli, meanders, partitions, verify
+from meandrics import cli, matrix_models, meanders, partitions, verify
 from meandrics.partitions import CombSubset, NcPartition
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
@@ -104,6 +104,32 @@ class TestSuitePlan:
     def test_all_is_todays_five_suites_each_with_a_plan(self):
         assert verify.ALL == ("lemmas", "thin", "shallow-top", "semi", "transforms")
         assert verify.SUITE_CAPS.keys() == verify.SUITES.keys()
+
+
+class TestThinMatrixModel:
+    def test_planted_fault_fails_both_checks(self, monkeypatch, capsys):
+        # Z = [Psi (x) Psi](omega_1) = (4) with one entry raised to 5:
+        # Tr[omega_1 Z] = 5, against the closed form 4 and the brute-force
+        # thin polynomial at n=2, evaluated at l=1, also 4
+        z_thin = matrix_models.z_thin
+
+        def faulty(l):
+            z = z_thin(l)
+            z[0, 0] += 1
+            return z
+
+        monkeypatch.setattr(matrix_models, "z_thin", faulty)
+        matrix_models.thin_exact.cache_clear()
+        try:
+            code = cli.main(["verify", "thin"])
+        finally:
+            matrix_models.thin_exact.cache_clear()
+        lines = capsys.readouterr().out.splitlines()
+        assert code == cli.EXIT_VERIFY_FAILED
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL thin-matrix-model-exact -- n=2, l=1: 5 != 4",
+            "FAIL thin-matrix-model-vs-brute-force -- n=2, l=1: 5 != 4"]
+        assert lines[-1] == "3/5 checks passed"
 
 
 class TestKrIntervalMeet:
