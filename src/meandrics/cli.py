@@ -28,7 +28,10 @@ arguments (and seed); warnings go to stderr so stdout stays stable.
 The MEANDER_THREADS environment variable caps the worker threads of
 every pair scan (loop polynomials, generating and cumulant coefficients,
 and the pairwise cycle counts behind ``verify``) and of the Monte Carlo
-sample batches and traces of ``simulate``; output does not depend on it.
+sample batches and traces of ``simulate``.  A pair scan uses the threads
+only when it composes at least ``meanders._POOL_CELLS`` (pair, point)
+cells; smaller ones run on the calling thread.  Output depends neither
+on the thread count nor on that rule.
 """
 
 from __future__ import annotations

@@ -19,11 +19,12 @@ The exhaustive pair scans are vectorized with numpy but remain honest
 brute force: every pair is materialized as a permutation composition
 whose cycles are counted directly.  A fixed point is a 1-cycle, counted
 by one comparison with the identity, and every longer cycle is walked
-once, so every cycle of every composed pair is still counted.  Chunks
-of the scan may be spread over a thread pool capped by the
-MEANDER_THREADS environment variable; each chunk's histogram is added
-to one integer total as it arrives, so the result does not depend on
-the split.
+once, so every cycle of every composed pair is still counted.  A scan
+that composes at least ``_POOL_CELLS`` (pair, point) cells spreads its
+chunks over a thread pool capped by the MEANDER_THREADS environment
+variable; a smaller one runs them in order on the calling thread.  Each
+chunk's histogram is added to one integer total as it arrives, so the
+result depends neither on the split nor on that rule.
 
 A class scan takes one top partition per symmetry orbit.  Reflecting
 both partitions of a pair (alpha -> r alpha~ r for r(i) = n-1-i) leaves
@@ -484,6 +485,30 @@ _CHUNK_CELLS = 1_000_000
 # 0.551, 1/8 0.525 (full 10: 0.517 uncapped, 0.510 at 1/8).
 _SKIP_CAP = 8
 
+# A scan goes on the MEANDER_THREADS pool only when its chunks compose at
+# least this many (pair, point) cells in all; a smaller one runs its
+# chunks in order on the calling thread.  The workers' malloc arenas keep
+# their chunk temporaries: at 2 threads one scan alone peaks 4-5 MB
+# higher on the pool (thin 12 38.7 against 34.9 MB, one process each),
+# and `verify all` 47.2 against 39.9 MB.  Speedup of 2 threads over 1 with
+# every chunk on the pool, medians of 5 alternating in-process runs, two
+# sweeps, on 2 cores (numpy 2.4.6):
+#   scan            cells   speedup
+#   full 8          0.40M   0.85, 0.83
+#   thin 11         3.1M    0.89, 0.77
+#   full 9          4.0M    0.94, 1.42
+#   shallow-top 9   6.0M    0.99, 1.24
+#   thin 12         13.4M   1.36, 1.17
+#   full 10         42M     1.61, 1.68
+#   shallow-top 10  46M     1.57, 1.52
+#   thin 13         56M     1.69, 1.35
+# The scans under 16M save at most about 50 ms each.  Thin 12 is the
+# largest of the 66 scans of `verify all`, so 16M keeps that command off
+# the pool, and leaves full 10, shallow-top 10, thin 13 and the
+# 212M-cell NC(9) x NC(9) table of `verify lemmas --budget-override 9`
+# on it.
+_POOL_CELLS = 16_000_000
+
 
 def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
                 reduce: Callable[[slice, slice, np.ndarray], _R],
@@ -497,9 +522,11 @@ def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
     discards each row's cells before its own, and a chunk ends before a
     row whose own columns start more than 1/_SKIP_CAP of the way in.  A
     zero column makes every chunk read all of B, uncut.  Chunks hold at
-    most about _CHUNK_CELLS cells and are mapped over the
-    MEANDER_THREADS pool by ``_ordered_map``, whose iterator this is, so
-    a caller that folds the results holds at most MEANDER_THREADS + 1."""
+    most about _CHUNK_CELLS cells.  When they compose at least
+    _POOL_CELLS cells in all they are mapped over the MEANDER_THREADS
+    pool by ``_ordered_map``, whose iterator this is, so a caller that
+    folds the results holds at most MEANDER_THREADS + 1; otherwise they
+    run one at a time on the calling thread as the caller takes them."""
     ma, n = a_imgs.shape
     inv = _inverse(a_imgs)
     mb = b_imgs.shape[0]
@@ -520,7 +547,10 @@ def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
         counts = _cycle_counts(np.take(inv[rows], b_imgs[cols], axis=1).reshape(-1, n))
         return reduce(rows, cols, counts.reshape(rows.stop - rows.start, -1))
 
-    return _ordered_map(run, bounds)
+    # read on every scan, so a bad MEANDER_THREADS warns whatever the size
+    _threads()
+    cells = n * sum((r.stop - r.start) * (c.stop - c.start) for r, c in bounds)
+    return _ordered_map(run, bounds) if cells >= _POOL_CELLS else map(run, bounds)
 
 
 def _cells(total: np.ndarray) -> dict[tuple[int, int, int], int]:

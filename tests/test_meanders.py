@@ -613,6 +613,8 @@ class TestDeterminism:
         # _CHUNK_CELLS cells) both have more than one chunk, so two
         # threads really split them
         from meandrics import meanders as mod
+        # both scans are under the pool bound; lift it so they reach the pool
+        monkeypatch.setattr(mod, "_POOL_CELLS", 0)
         imgs, _ = _geodesic_rows(enumerate_nc(8))
         rows_per_chunk = mod._CHUNK_CELLS // (1430 * 8)
         scan = mod._scan_pairs
@@ -654,6 +656,8 @@ class TestDeterminism:
         from meandrics import meanders as mod
         monkeypatch.setattr(mod, "_threads", lambda: threads)
         monkeypatch.setattr(mod, "_CHUNK_CELLS", 1)
+        # full 9 is under the pool bound; lift it so the chunks reach the pool
+        monkeypatch.setattr(mod, "_POOL_CELLS", 0)
         ordered_map = mod._ordered_map
         results, alive = [], []
 
@@ -675,6 +679,71 @@ class TestDeterminism:
         assert max(alive) <= threads + 1
         monkeypatch.undo()
         assert streamed == generating_coefficient(MeanderClass.FULL, 9)
+
+    def test_small_scans_stay_off_the_pool(self, monkeypatch):
+        # the largest scans of verify all (13.4M, 5.95M and 4.0M composed
+        # cells) run on the calling thread even at two threads
+        from meandrics import meanders as mod
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a scan under the bound started a pool")
+
+        scans = [(MeanderClass.THIN, 12), (MeanderClass.SHALLOW_TOP, 9), (MeanderClass.FULL, 9)]
+        mod._pair_histogram.cache_clear()
+        expected = [generating_coefficient(klass, n) for klass, n in scans]
+        monkeypatch.setattr(mod, "_threads", lambda: 2)
+        monkeypatch.setattr(mod, "ThreadPoolExecutor", no_pool)
+        mod._pair_histogram.cache_clear()
+        try:
+            assert [generating_coefficient(klass, n) for klass, n in scans] == expected
+        finally:
+            mod._pair_histogram.cache_clear()
+
+    @pytest.mark.parametrize("klass, n", [(MeanderClass.THIN, 13), (MeanderClass.FULL, 10)])
+    def test_large_scans_keep_the_pool(self, monkeypatch, klass, n):
+        # polynomial thin 13 and full 10 map their chunks over the pool,
+        # which splits more than one chunk over two workers
+        from meandrics import meanders as mod
+
+        class Mapped(Exception):
+            pass
+
+        def spy(fn, items):
+            raise Mapped(len(items))
+
+        monkeypatch.setattr(mod, "_threads", lambda: 2)
+        monkeypatch.setattr(mod, "_ordered_map", spy)
+        mod._pair_histogram.cache_clear()
+        with pytest.raises(Mapped) as mapped:
+            meander_polynomial(klass, n)
+        assert mapped.value.args[0] > 1
+
+    def test_lifted_bound_runs_a_small_scan_on_workers(self, monkeypatch):
+        # NC(6) x NC(6) in one-row chunks: inline, every chunk runs on the
+        # calling thread; with the bound at 0, on the pool's workers, and
+        # the table is the same
+        from meandrics import meanders as mod
+        imgs = _side("nc", 6).imgs
+        monkeypatch.setattr(mod, "_threads", lambda: 2)
+        monkeypatch.setattr(mod, "_CHUNK_CELLS", 1)
+
+        def scan():
+            table = np.zeros((len(imgs), len(imgs)), dtype=np.int64)
+            threads = set()
+
+            def fill(rows, cols, counts):
+                threads.add(threading.get_ident())
+                table[rows, cols] = counts
+
+            list(mod._scan_pairs(imgs, imgs, fill, np.zeros(len(imgs), dtype=np.intp)))
+            return table, threads
+
+        inline, inline_threads = scan()
+        monkeypatch.setattr(mod, "_POOL_CELLS", 0)
+        pooled, pooled_threads = scan()
+        assert inline_threads == {threading.get_ident()}
+        assert threading.get_ident() not in pooled_threads
+        assert (pooled == inline).all()
 
     def test_pool_does_not_nest(self, monkeypatch):
         # a map started on a worker runs its items on that worker, in order
