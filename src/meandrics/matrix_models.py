@@ -230,19 +230,6 @@ def _on_omega(left: Callable[[np.ndarray], np.ndarray],
     return out
 
 
-def choi_matrix(op: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Choi matrix sum_ij E_ij (x) op(E_ij)."""
-    return _on_omega(lambda e: e, op, dim)
-
-
-def hermitian_defect(m: np.ndarray) -> float:
-    return float(np.abs(m - m.conj().T).max())
-
-
-def min_eigenvalue(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-
-
 # ---------------------------------------------------------------------------
 # Explicit model matrices (used by tests and small dimensions)
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
-from math import comb
+from math import comb, prod
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -704,8 +704,9 @@ def binomial_lemma_check(blocks: Sequence[Iterable[int]], a_val: int,
                          b_val: int) -> tuple[int, int]:
     """Both sides of the subset identity
     sum_Q A^|Q| B^#{c : Q & c = {}}  ==  prod_c ((A+1)^|c| + B - 1)
-    for an arbitrary partition (crossing allowed).  Returns (lhs, rhs);
-    equality is the tested property, not assumed here.
+    for an arbitrary partition (crossing allowed), the left side summed
+    term by term over all 2^m subsets Q.  Returns (lhs, rhs); equality is
+    the tested property, not assumed here.
     """
     blocks = [frozenset(b) for b in blocks]
     ground = sorted(x for b in blocks for x in b)
@@ -716,26 +717,9 @@ def binomial_lemma_check(blocks: Sequence[Iterable[int]], a_val: int,
         raise ValueError("ground set too large for the subset scan")
     pos = {x: i for i, x in enumerate(ground)}
     masks = [sum(1 << pos[x] for x in b) for b in blocks]
-
-    qs = np.arange(1 << m, dtype=np.int64)
-    sizes = np.zeros(1 << m, dtype=np.int64)
-    for i in range(m):
-        sizes += (qs >> i) & 1
-    empties = np.zeros(1 << m, dtype=np.int64)
-    for mask in masks:
-        empties += (qs & mask) == 0
-    counts = np.zeros((m + 1, len(blocks) + 1), dtype=np.int64)
-    np.add.at(counts, (sizes, empties), 1)
-
-    lhs = 0
-    for i in range(m + 1):
-        for j in range(len(blocks) + 1):
-            c = int(counts[i, j])
-            if c:
-                lhs += c * a_val ** i * b_val ** j
-    rhs = 1
-    for b in blocks:
-        rhs *= (a_val + 1) ** len(b) + b_val - 1
+    lhs = sum(a_val ** q.bit_count() * b_val ** sum(not q & c for c in masks)
+              for q in range(1 << m))
+    rhs = prod((a_val + 1) ** len(b) + b_val - 1 for b in blocks)
     return lhs, rhs
 
 

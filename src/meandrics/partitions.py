@@ -525,12 +525,3 @@ def kr_interval_meet(q: CombSubset, b: NcPartition) -> NcPartition:
     if q.n != b.n:
         raise SizeMismatchError("different ground sets")
     return CombSubset(q.n, q.q.intersection(b.block_containing(q.n - 1))).to_partition()
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def partition_from_json(blocks: list[list[int]]) -> NcPartition:
-    n = max(x for b in blocks for x in b)
-    return NcPartition.from_one_based(n, blocks)

@@ -559,12 +559,6 @@ def poly_to_json(poly: LaurentPoly) -> list[dict]:
     ]
 
 
-def poly_from_json(terms: list[dict]) -> LaurentPoly:
-    return LaurentPoly({
-        (t["eY"], t["eA"], t["eB"]): int(t["coeff"]) for t in terms
-    })
-
-
 def series_to_json(series: TruncSeries) -> list[dict]:
     return [
         {"n": n, "terms": poly_to_json(series.coefficient(n))}

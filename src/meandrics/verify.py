@@ -29,21 +29,6 @@ _BATCH_CELLS = 1 << 18
 _AB_VALUES = (1, 2, 3)
 
 
-def set_partitions(m: int) -> Iterator[list[list[int]]]:
-    """All set partitions of {1..m} via restricted growth strings."""
-    a = [0] * m
-    while True:
-        yield rgs_blocks(a)
-        for i in range(m - 1, 0, -1):
-            if a[i] <= max(a[:i]):
-                a[i] += 1
-                for j in range(i + 1, m):
-                    a[j] = 0
-                break
-        else:
-            return
-
-
 def rgs_blocks(labels: Iterable[int]) -> list[list[int]]:
     """The 1-based blocks of a restricted growth string."""
     blocks: list[list[int]] = []
@@ -56,7 +41,7 @@ def rgs_blocks(labels: Iterable[int]) -> list[list[int]]:
 
 def rgs_batches(m: int, rows: int) -> Iterator[np.ndarray]:
     """The restricted growth strings of length m as int8 arrays of at most
-    ``rows`` rows, in the lexicographic order of ``set_partitions``.
+    ``rows`` rows, in lexicographic order.
 
     Prefixes are extended depth first, one batch at a time, so memory
     stays bounded by ``rows`` rather than by the Bell number.
@@ -166,29 +151,22 @@ def check_meet_join_duality(n_max: int = 7) -> CheckResult:
     checked = 0
     for n in range(1, n_max + 1):
         ncs = list(partitions.enumerate_nc(n))
-        # interval joins are determined by the intersection of separator
-        # sets, Kr-interval meets by the block of n: each side of a pair is
-        # read from a table indexed by its mask, holding an id per distinct
-        # partition (-1 until the first pair with that mask fills it)
+        # a pair's interval join is fixed by its common cuts and its
+        # Kr-interval meet by its common Q, so the first pair in row order
+        # of each key cuts << (n - 1) | Q stands for every pair with that key
         sep_masks = np.array([partitions._separators(p) for p in ncs])
         kr_bn_masks = meanders._last_block_masks(
             np.array([p.kreweras().images for p in ncs], dtype=np.int8))
-        ids: dict[partitions.NcPartition, int] = {}
-        lhs_by_cuts = np.full(1 << (n - 1), -1)
-        rhs_by_q = np.full(1 << (n - 1), -1)
+        seen = np.zeros(1 << (2 * n - 2), dtype=bool)
         for xi, x in enumerate(ncs):
-            cuts = sep_masks[xi] & sep_masks
-            qmask = kr_bn_masks[xi] & kr_bn_masks
-            for yi in np.flatnonzero(lhs_by_cuts[cuts] < 0):
-                if lhs_by_cuts[cuts[yi]] < 0:
-                    lhs = partitions.interval_join(x, ncs[yi]).kreweras()
-                    lhs_by_cuts[cuts[yi]] = ids.setdefault(lhs, len(ids))
-            for q in dict.fromkeys(qmask[rhs_by_q[qmask] < 0].tolist()):
-                rhs = partitions.CombSubset(n, [i for i in range(n - 1) if q >> i & 1])
-                rhs_by_q[q] = ids.setdefault(rhs.to_partition(), len(ids))
-            bad = np.flatnonzero(lhs_by_cuts[cuts] != rhs_by_q[qmask])
-            if bad.size:
-                return name, False, f"n={n}, x={x!r}, y={ncs[bad[0]]!r}: duality fails"
+            keys = (sep_masks[xi] & sep_masks) << (n - 1) | kr_bn_masks[xi] & kr_bn_masks
+            for yi in np.flatnonzero(~seen[keys]):
+                if not seen[keys[yi]]:
+                    seen[keys[yi]] = True
+                    q = [i for i in range(n - 1) if keys[yi] >> i & 1]
+                    if (partitions.interval_join(x, ncs[yi]).kreweras()
+                            != partitions.CombSubset(n, q).to_partition()):
+                        return name, False, f"n={n}, x={x!r}, y={ncs[yi]!r}: duality fails"
             checked += len(ncs)
     return name, True, f"{checked} pairs, n<={n_max}"
 
@@ -215,9 +193,11 @@ def check_comb_loop_formula(n_max: int = 8) -> CheckResult:
 
 def _check_binomial_budget(m_max: int) -> None:
     """ResourceLimitError unless every subset-binomial sum up to m_max
-    fits int64: |lhs| <= (V+1)^m V^m and |rhs| <= (V+1)^m 2^m."""
+    fits int64: |lhs| <= (V+1)^m V^m and |rhs| <= (V+1)^m 2^m.  Since
+    (V+1) max(2, V) >= 4, every m_max >= 32 overflows; it is refused
+    before the power, whose cost grows with m_max."""
     v = max(abs(x) for x in _AB_VALUES)
-    if (v + 1) ** m_max * max(2, v) ** m_max >= 1 << 63:
+    if m_max >= 32 or (v + 1) ** m_max * max(2, v) ** m_max >= 1 << 63:
         raise meanders.ResourceLimitError(
             f"subset-binomial sums at m={m_max}, |A|,|B|<={v} overflow int64")
 

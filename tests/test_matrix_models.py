@@ -12,12 +12,9 @@ from meandrics import matrix_models, meanders
 from meandrics.matrix_models import (
     Model,
     ModelSpec,
-    choi_matrix,
     complex_gaussians,
     estimate,
     estimate_sweep,
-    hermitian_defect,
-    min_eigenvalue,
     omega,
     partial_trace,
     partial_transpose,
@@ -35,6 +32,7 @@ from meandrics.matrix_models import (
 from meandrics.matrix_models import (
     _STATS,
     _chain_trace_sum,
+    _on_omega,
     _stats_gue,
     _stats_nc_nc,
     _stats_shallow_top,
@@ -45,6 +43,19 @@ from meandrics.matrix_models import (
 from meandrics.meanders import MeanderClass, ResourceLimitError, meander_polynomial
 
 SEED = 20240809
+
+
+def choi_matrix(op, dim):
+    """Choi matrix sum_ij E_ij (x) op(E_ij)."""
+    return _on_omega(lambda e: e, op, dim)
+
+
+def hermitian_defect(m):
+    return float(np.abs(m - m.conj().T).max())
+
+
+def min_eigenvalue(m):
+    return float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
 
 
 class TestSampling:

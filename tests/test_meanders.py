@@ -307,6 +307,10 @@ class TestBinomialLemma:
         with pytest.raises(ValueError):
             binomial_lemma_check([[1, 2], [2, 3]], 1, 1)
 
+    def test_ground_set_past_20_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            binomial_lemma_check([range(1, 22)], 1, 1)
+
 
 class TestClosedCounts:
     def test_thin_count_small(self):

@@ -7,6 +7,21 @@ from meandrics.partitions import CombSubset, NcPartition
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
 
 
+def set_partitions(m):
+    """All set partitions of {1..m} via restricted growth strings."""
+    a = [0] * m
+    while True:
+        yield verify.rgs_blocks(a)
+        for i in range(m - 1, 0, -1):
+            if a[i] <= max(a[:i]):
+                a[i] += 1
+                for j in range(i + 1, m):
+                    a[j] = 0
+                break
+        else:
+            return
+
+
 def rgs_rows(m, rows):
     return [row for batch in verify.rgs_batches(m, rows) for row in batch]
 
@@ -16,7 +31,7 @@ class TestRestrictedGrowthStrings:
     @pytest.mark.parametrize("rows", [1, 7, 1024])
     def test_batches_match_set_partitions_in_order(self, m, rows):
         got = [verify.rgs_blocks(row) for row in rgs_rows(m, rows)]
-        assert got == list(verify.set_partitions(m))
+        assert got == list(set_partitions(m))
         assert len(got) == BELL[m]
 
     def test_batches_are_bounded(self):
@@ -47,14 +62,18 @@ class TestBinomialSides:
     @pytest.mark.parametrize("suite, budget, error", [
         ("lemmas", 18, "subset-binomial sums at m=18, |A|,|B|<=3 overflow int64"),
         ("all", 18, "subset-binomial sums at m=18, |A|,|B|<=3 overflow int64"),
+        ("lemmas", 10**12,
+         "subset-binomial sums at m=1000000000000, |A|,|B|<=3 overflow int64"),
+        ("all", 10**12,
+         "subset-binomial sums at m=1000000000000, |A|,|B|<=3 overflow int64"),
         ("lemmas", 10, "NC(n) x NC(n) cycle-count table at n=10 exceeds budget 9"),
         ("all", 10, "NC(n) x NC(n) cycle-count table at n=10 exceeds budget 9"),
         ("thin", 17, "thin enumeration at n=17 exceeds budget 16"),
         ("shallow-top", 11, "shallow-top enumeration at n=11 exceeds budget 10"),
         ("semi", 17, "semi enumeration at n=17 exceeds budget 16"),
         ("transforms", 15, "nc enumeration at n=15 exceeds budget 14"),
-    ], ids=["lemmas", "all", "lemmas-10", "all-10", "thin-17", "shallow-top-11", "semi-17",
-            "transforms-15"])
+    ], ids=["lemmas", "all", "lemmas-1e12", "all-1e12", "lemmas-10", "all-10", "thin-17",
+            "shallow-top-11", "semi-17", "transforms-15"])
     def test_int64_overflow_is_refused_before_any_check(self, suite, budget, error,
                                                         monkeypatch, capsys):
         def must_not_run(**kwargs):
@@ -214,6 +233,21 @@ class TestCombLoopFormula:
 
 
 class TestMeetJoinDuality:
+    def test_one_join_per_cut_mask(self, monkeypatch):
+        # one interval join per distinct (cuts, Q) key, and Q follows from
+        # the cuts: 2^(n-1) joins at each n
+        calls = []
+        real = partitions.interval_join
+
+        def counting(x, y):
+            calls.append((x, y))
+            return real(x, y)
+
+        monkeypatch.setattr(partitions, "interval_join", counting)
+        assert verify.check_meet_join_duality(7) == (
+            "interval-join-kreweras-duality", True, "203455 pairs, n<=7")
+        assert len(calls) == sum(2 ** (n - 1) for n in range(1, 8)) == 127
+
     def test_planted_fault_reports_first_counterexample(self, monkeypatch):
         n, planted = 5, (0b0110, 0b1001)
         real = partitions.interval_join
