@@ -128,13 +128,14 @@ ENUM_BUDGETS = {"nc": 14, "interval": 16, "kr-interval": 16, "rainbow": 4096}
 # 2 s and 100-120 MB, shallow-top about 5-6 s and 50 MB (2 cores).
 SERIES_BUDGETS = {"thin": 64, "shallow-top": 28, "semi": 256}
 # Largest --budget-override of ``verify lemmas``.  Its
-# kreweras-loop-invariance check holds one plain NC(n) x NC(n) int64
-# cycle-count table, which sets the suite's peak.  Measured on 2 cores
-# (numpy 2.4.6, MEANDER_THREADS=2), one process per run: the suite at
-# n = 8 takes 2.2-2.3 s and peaks at 63-65 MB, at n = 9 13.4-15.6 s and
-# 252 MB (that check alone 2.6 s and 247 MB).  NC(10) x NC(10) is
-# 282,105,616 cells, 11.9x the 23,639,044 of n = 9, so that one table
-# alone is 2.3 GB; n = 10 was not run.
+# kreweras-loop-invariance check holds one plain NC(n) x NC(n) uint8
+# cycle-count table (24 MB at n = 9, where int64 would take 189 MB and
+# set the suite's peak at 250 MB).  Measured on 2 cores (numpy 2.4.6),
+# one process per run: the suite at n = 8 takes 2.0 s and peaks at 40 MB
+# at one thread and 47 MB at two, at n = 9 11-13 s and 72 MB and 84 MB
+# (that check alone 1.8-2.1 s).  NC(10) x NC(10) is 282,105,616 cells,
+# 11.9x the 23,639,044 of n = 9, so that one table alone is 282 MB; n = 10
+# was not run.
 NC_PAIR_TABLE_BUDGET = 9
 
 
@@ -561,8 +562,10 @@ def _cells(total: np.ndarray) -> dict[tuple[int, int, int], int]:
 
 
 def pairwise_cycle_counts(a_imgs: np.ndarray, b_imgs: np.ndarray) -> np.ndarray:
-    """(MA, MB) int64 array of #cycles(alpha~ beta) for one-line image rows."""
-    table = np.empty((len(a_imgs), len(b_imgs)), dtype=np.int64)
+    """(MA, MB) array of #cycles(alpha~ beta) for one-line image rows of
+    length n, stored in np.min_scalar_type(n), the dtype ``_cycle_counts``
+    counts in: uint8 up to n = 255."""
+    table = np.empty((len(a_imgs), len(b_imgs)), dtype=np.min_scalar_type(a_imgs.shape[1]))
 
     def fill(rows: slice, cols: slice, counts: np.ndarray) -> None:
         table[rows, cols] = counts

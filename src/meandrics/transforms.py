@@ -21,7 +21,7 @@ arrays of Python ints, which never overflow.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -366,9 +366,9 @@ class TruncSeries:
 def compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
     """outer(inner(X)) truncated; inner has no constant term by type."""
     outer._check(inner)
-    pw = _power_table(inner._coeffs, outer.order)
-    return TruncSeries.from_function(outer.order, lambda n: _dot(
-        _ZERO, ((outer._coeffs[s], pw[s][n]) for s in range(1, n + 1))))
+    return TruncSeries(outer.order, [
+        _dot(_ZERO, ((outer._coeffs[s], pw[s][n]) for s in range(1, n + 1)))
+        for n, pw in enumerate(_power_columns(inner._coeffs, outer.order), 1)])
 
 
 def one_plus_shift(g: TruncSeries) -> TruncSeries:
@@ -400,21 +400,25 @@ def boolean_inverse(m: TruncSeries) -> TruncSeries:
     return TruncSeries(n, tuple(k[1:]))
 
 
-def _powers_column(p: Sequence[LaurentPoly], pw: list[list[LaurentPoly]], n: int) -> None:
-    # Fill pw[s][n] = [X^n] P(X)^s for s = 1..n, where p[j] = [X^j] P and
-    # all pw[.][<n] entries are already present.
-    pw[1][n] = p[n]
-    for s in range(2, n + 1):
-        pw[s][n] = _dot(_ZERO, ((p[j], pw[s - 1][n - j]) for j in range(1, n - s + 2)))
-
-
-def _power_table(p: Sequence[LaurentPoly], n: int) -> list[list[LaurentPoly]]:
-    """pw with pw[s][i] = [X^i] P(X)^s for 1 <= s <= i <= n (zero for
-    s > i), where p[j] = [X^j] P for j = 1..n and P has no constant term."""
+def _power_columns(p: Sequence[LaurentPoly], n: int) -> Iterator[list[list[LaurentPoly]]]:
+    """Yield the table pw with pw[s][i] = [X^i] P(X)^s (zero for s > i)
+    once for each i = 1..n, as soon as its column i is filled, where
+    p[j] = [X^j] P and P has no constant term.  Column i reads p[1..i]
+    only, so the caller may set p[i + 1] from the table it is given."""
     pw = [[_ZERO] * (n + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
-        _powers_column(p, pw, i)
-    return pw
+        pw[1][i] = p[i]
+        for s in range(2, i + 1):
+            pw[s][i] = _dot(_ZERO, ((p[j], pw[s - 1][i - j]) for j in range(1, i - s + 2)))
+        yield pw
+
+
+def _powers(base: LaurentPoly, count: int) -> list[LaurentPoly]:
+    """[base**0, ..., base**(count - 1)], each one product from the last."""
+    pows = [_ONE]
+    for _ in range(count - 1):
+        pows.append(pows[-1] * base)
+    return pows
 
 
 def free_transform(k: TruncSeries) -> TruncSeries:
@@ -426,24 +430,17 @@ def free_transform(k: TruncSeries) -> TruncSeries:
     frozen as soon as it stabilizes.
     """
     n = k.order
-    m = [_ZERO] * (n + 1)
-    p = [_ZERO] * (n + 1)
-    p[1] = _ONE
-    pw = [[_ZERO] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        if i >= 2:
-            p[i] = m[i - 1]
-        _powers_column(p, pw, i)
-        m[i] = _dot(_ZERO, ((k.coefficient(s), pw[s][i]) for s in range(1, i + 1)))
-    return TruncSeries(n, tuple(m[1:]))
+    p = [_ZERO, _ONE] + [_ZERO] * n         # P = X (1 + M): p[i + 1] = m_i
+    for i, pw in enumerate(_power_columns(p, n), 1):
+        p[i + 1] = _dot(_ZERO, ((k.coefficient(s), pw[s][i]) for s in range(1, i + 1)))
+    return TruncSeries(n, p[2:])
 
 
 def free_inverse(m: TruncSeries) -> TruncSeries:
     """Recover K from M = K(X(1+M)) by forward substitution."""
     n = m.order
-    pw = _power_table(one_plus_shift(m)._coeffs, n)
     k = [_ZERO] * (n + 1)
-    for i in range(1, n + 1):
+    for i, pw in enumerate(_power_columns(one_plus_shift(m)._coeffs, n), 1):
         # m_i = sum_(s <= i) kappa_s pw[s][i] and pw[i][i] == 1
         k[i] = m.coefficient(i) - _dot(_ZERO, ((k[s], pw[s][i]) for s in range(1, i)))
     return TruncSeries(n, tuple(k[1:]))
@@ -470,16 +467,8 @@ _THIN_KERNEL1 = _ONE + _THIN_KERNEL         # 1 + AB + (A+B)Y
 def thin_series(order: int) -> tuple[TruncSeries, TruncSeries]:
     """(M, K) for interval x interval systems:
     M = X / (1 - X(1 + AB + (A+B)Y)), K = X / (1 - X(AB + (A+B)Y))."""
-    mcs, kcs = [], []
-    mpow, kpow = _ONE, _ONE
-    for n in range(1, order + 1):
-        mcs.append(mpow)
-        kcs.append(kpow)
-        if n < order:
-            mpow = mpow * _THIN_KERNEL1
-            kpow = kpow * _THIN_KERNEL
-    m = TruncSeries(order, mcs)
-    k = TruncSeries(order, kcs)
+    m = TruncSeries(order, _powers(_THIN_KERNEL1, order))
+    k = TruncSeries(order, _powers(_THIN_KERNEL, order))
     _assert_polynomial(m)
     return m, k
 
@@ -488,14 +477,12 @@ def _shallow_top_g(order: int) -> TruncSeries:
     # g_n = BY(1+AY)^n + B A^n Y^(n-1) - B A^n Y^(n+1), already expanded so
     # that no negative exponent is stored.
     coeffs = []
-    one_ay_pow = _ONE + A * Y
-    cur = one_ay_pow
+    one_ay_pows = _powers(_ONE + A * Y, order + 1)
     for n in range(1, order + 1):
         an = LaurentPoly.monomial(1, ea=n)
-        g_n = B * Y * cur + B * an * LaurentPoly.monomial(1, ey=n - 1) \
+        g_n = B * Y * one_ay_pows[n] + B * an * LaurentPoly.monomial(1, ey=n - 1) \
             - B * an * LaurentPoly.monomial(1, ey=n + 1)
         coeffs.append(g_n)
-        cur = cur * one_ay_pow
     return TruncSeries(order, coeffs)
 
 
@@ -525,16 +512,13 @@ def semi_meander_series(order: int) -> TruncSeries:
     (X + X^2 (Y + A)) / (1 - X^2 Y (1 + 2AY + A^2)), in Y and A only."""
     ring = Y * (_ONE + 2 * A * Y + A * A)
     even_head = Y + A
-    coeffs = [_ZERO] * (order + 1)
-    rpow = _ONE
-    m = 0
-    while 2 * m + 1 <= order:
-        coeffs[2 * m + 1] = rpow
-        if 2 * m + 2 <= order:
-            coeffs[2 * m + 2] = even_head * rpow
-        rpow = rpow * ring
-        m += 1
-    s = TruncSeries(order, tuple(coeffs[1:]))
+    coeffs = []
+    # [X^(2m+1)] M = ring^m and [X^(2m+2)] M = (Y + A) ring^m
+    for rpow in _powers(ring, (order + 1) // 2):
+        coeffs.append(rpow)
+        if len(coeffs) < order:
+            coeffs.append(even_head * rpow)
+    s = TruncSeries(order, coeffs)
     _assert_polynomial(s)
     return s
 

@@ -124,11 +124,13 @@ class TestLoopCount:
 
     def test_pairwise_kernel_matches_scalar(self):
         rnd = random.Random(3)
-        for n in (2, 4, 6, 8):
+        for n in (2, 4, 6, 8, 9):
             ncs = list(enumerate_nc(n))
             sample = [rnd.choice(ncs) for _ in range(12)]
             imgs, _ = _geodesic_rows(sample)
             table = pairwise_cycle_counts(imgs, imgs)
+            # at most n loops a pair: the table is stored in one byte a cell
+            assert table.dtype == np.uint8
             for i, a in enumerate(sample):
                 for j, b in enumerate(sample):
                     assert int(table[i, j]) == loop_count(a, b)

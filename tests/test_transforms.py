@@ -180,6 +180,42 @@ class TestRandomSeries:
         assert compose(outer, inner).coefficients() == tuple(want[1:])
 
 
+class TestPowerColumns:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_column_reads_no_coefficient_past_its_own(self, seed):
+        # free_transform sets p[i + 1] only after it takes column i; a
+        # read of a coefficient not yet set fails on its None
+        rng = random.Random(200 + seed)
+        order = 1 + 2 * seed
+        whole = [ZERO, *_sparse_series(order, rng).coefficients()]
+        *_, want = transforms._power_columns(whole, order)
+        ahead = whole[:2] + [None] * (order - 1)
+        for i, got in enumerate(transforms._power_columns(ahead, order), 1):
+            if i < order:
+                ahead[i + 1] = whole[i + 1]
+        assert got == want
+
+    def test_product_counts_are_pinned(self, monkeypatch):
+        # the LaurentPoly products each builder makes, so that a rewrite
+        # of how the powers are built cannot change the work unnoticed
+        calls = 0
+        real = LaurentPoly.__mul__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return real(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+        monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
+        s = _random_series(12, random.Random(7))
+        for build, args, want in ((thin_series, (40,), 78), (free_transform, (s,), 364),
+                                  (free_inverse, (s,), 352), (compose, (s, s), 364)):
+            calls = 0
+            build(*args)
+            assert calls == want, build.__name__
+
+
 class TestTransforms:
     def test_boolean_geometric(self):
         m = boolean_transform(TruncSeries.x(10))
