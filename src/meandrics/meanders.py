@@ -17,9 +17,12 @@ both their sides from it through ``_CLASS_SIDES`` and ``_KR_SIDES``.
 
 The exhaustive pair scans are vectorized with numpy but remain honest
 brute force: every pair is materialized as a permutation composition
-whose cycles are counted directly.  A fixed point is a 1-cycle, counted
-by one comparison with the identity, and every longer cycle is walked
-once, so every cycle of every composed pair is still counted.  A scan
+whose cycles are counted directly.  A chunk of pairs is composed
+point-major, as an (n, pairs) block whose row i holds the image of point
+i in every pair, so each per-point pass of the count reads one
+contiguous row.  A fixed point is a 1-cycle, counted by one comparison
+with the identity, and every longer cycle is walked once, so every cycle
+of every composed pair is still counted.  A scan
 that composes at least ``_POOL_CELLS`` (pair, point) cells spreads its
 chunks over a thread pool capped by the MEANDER_THREADS environment
 variable; a smaller one runs them in order on the calling thread.  Each
@@ -299,7 +302,7 @@ def _geodesic_rows(parts: Iterable[NcPartition]) -> tuple[np.ndarray, np.ndarray
     first = next(parts)
     flat = chain(first.images, chain.from_iterable(p.images for p in parts))
     imgs = np.fromiter(flat, dtype=np.int8).reshape(-1, first.n)
-    return imgs, _cycle_counts(imgs)
+    return imgs, _cycle_counts(imgs.T)
 
 
 def side_partitions(kind: str, n: int) -> Iterator[NcPartition]:
@@ -320,7 +323,8 @@ def side_partitions(kind: str, n: int) -> Iterator[NcPartition]:
 
 def _last_block_masks(imgs: np.ndarray) -> np.ndarray:
     """int64 bitmasks of the block of n - 1, without n - 1, of geodesic rows:
-    its cycle, walked as in ``_cycle_counts``, climbs from the minimum."""
+    its cycle climbs from the minimum.  Every row walks it at once, one
+    point a step, by flat index row * n + point into the (M, n) table."""
     m, n = imgs.shape
     masks = np.zeros(m, dtype=np.int64)
     base = np.arange(m) * n
@@ -434,48 +438,54 @@ def _orbits(a_imgs: np.ndarray, b_imgs: np.ndarray,
 
 
 def _cycle_counts(perms: np.ndarray) -> np.ndarray:
-    """Cycle counts of each row of an (M, n) one-line array, as int64.
+    """Cycle counts of each permutation of an (n, M) point-major array,
+    as int64: column r holds the one-line images of permutation r, so
+    row i holds point i's images in every permutation.
 
-    A fixed point is a 1-cycle, found by one comparison with arange(n)
+    A fixed point is a 1-cycle, found by one comparison with the point
     and counted without a walk.  Every other cycle is walked once, from
     its smallest point, and counted there.  The input is not written."""
-    m, n = perms.shape
-    flat = perms.ravel()
-    # state[r * n + i] for point i of row r: 0 not yet seen, 1 a fixed
-    # point, 2 on a cycle already walked
-    state = (perms == np.arange(n, dtype=perms.dtype)).view(np.uint8).ravel()
-    # at most n cycles a row: uint8 up to n = 255
+    n, m = perms.shape
+    flat = np.ascontiguousarray(perms).ravel()
+    # state[i * m + r] for point i of permutation r: 0 not yet seen, 1 a
+    # fixed point, 2 on a cycle already walked
+    state = (flat.reshape(n, m) == np.arange(n, dtype=perms.dtype)[:, None]).view(np.uint8)
+    flat_state = state.ravel()
+    # at most n cycles a permutation: uint8 up to n = 255
     counts = np.zeros(m, dtype=np.min_scalar_type(n))
+    stride = np.intp(m)
     for j in range(n):
-        at_j = state[j::n]
-        counts += at_j < 2
-        # walk the cycle of j in each row where j is unseen, by flat
-        # index, dropping a row when its walk returns to j
-        base = np.flatnonzero(at_j == 0) * n
-        pos = base + j
+        counts += state[j] < 2
+        # walk the cycle of j in each permutation where j is unseen, by
+        # flat index point * m + permutation, dropping a permutation when
+        # its walk returns to j
+        col = np.flatnonzero(state[j] == 0)
+        pos = col + j * stride
         while pos.size:
-            state[pos] = 2
+            flat_state[pos] = 2
             nxt = flat.take(pos)
             keep = nxt != j
-            base = base[keep]
-            pos = base + nxt[keep]
+            col = col[keep]
+            pos = nxt[keep] * stride
+            pos += col
     return counts.astype(np.int64)
 
 
 # A chunk of the pair scan holds about this many (pair, point) cells, and
 # at least one A row.  Each worker holds a chunk's int8 compositions, its
 # uint8 cycle states and its int64 walk indices at once, so the bound
-# sets the scan's peak.  Measured on 2 cores (numpy 2.4.6), medians of 5
-# runs (2 for full 11) of wall s / peak MB, one process per run:
+# sets the scan's peak.  Measured on 2 cores (numpy 2.4.6) with the
+# point-major kernel, medians of 5 runs (2 for full 11) of wall s (with
+# interpreter start) / peak MB, one process per run:
 #   threads cells   full 9       full 10      full 11      thin 13
-#   2       2M      0.16 / 41    0.73 / 56    5.7 / 67     0.57 / 46
-#   2       1M      0.19 / 41    0.72 / 47    6.1 / 60     0.62 / 40
-#   2       500K    0.14 / 38    0.70 / 43    6.4 / 59     0.71 / 38
-#   1       2M      0.14 / 38    1.07 / 45    10.1 / 49    1.00 / 39
-#   1       1M      0.14 / 37    1.15 / 41    8.8 / 45     0.88 / 36
-#   1       500K    0.15 / 35    0.92 / 38    9.0 / 45     0.90 / 35
-# 2M is faster for thin 13 and full 11 at two threads but peaks higher
-# everywhere; 500K is slower for thin 13 and full 11 at two, so 1M stays.
+#   2       2M      0.24 / 38    0.63 / 55    3.6 / 64     0.50 / 46
+#   2       1M      0.25 / 37    0.55 / 45    4.2 / 57     0.54 / 40
+#   2       500K    0.26 / 35    0.63 / 41    4.9 / 57     0.71 / 37
+#   1       2M      0.27 / 38    0.84 / 44    6.0 / 46     0.61 / 39
+#   1       1M      0.25 / 37    0.78 / 38    5.8 / 43     0.61 / 36
+#   1       500K    0.24 / 35    0.74 / 36    6.8 / 43     0.65 / 34
+# 2M is faster for thin 13 and full 11 at two threads but peaks 6-10 MB
+# higher there; 500K is slower for thin 13 and full 11 at two, so 1M stays.
 _CHUNK_CELLS = 1_000_000
 
 # A swap-scan chunk composes its whole rectangle, also the cells before
@@ -493,17 +503,17 @@ _SKIP_CAP = 8
 # higher on the pool (thin 12 38.7 against 34.9 MB, one process each),
 # and `verify all` 47.2 against 39.9 MB.  Speedup of 2 threads over 1 with
 # every chunk on the pool, medians of 5 alternating in-process runs, two
-# sweeps, on 2 cores (numpy 2.4.6):
+# sweeps, on 2 cores (numpy 2.4.6, point-major kernel):
 #   scan            cells   speedup
-#   full 8          0.40M   0.85, 0.83
-#   thin 11         3.1M    0.89, 0.77
-#   full 9          4.0M    0.94, 1.42
-#   shallow-top 9   6.0M    0.99, 1.24
-#   thin 12         13.4M   1.36, 1.17
-#   full 10         42M     1.61, 1.68
-#   shallow-top 10  46M     1.57, 1.52
-#   thin 13         56M     1.69, 1.35
-# The scans under 16M save at most about 50 ms each.  Thin 12 is the
+#   full 8          0.40M   0.77, 0.85
+#   thin 11         3.1M    0.87, 0.99
+#   full 9          4.0M    1.06, 1.18
+#   shallow-top 9   6.0M    1.64, 1.18
+#   thin 12         13.4M   1.00, 1.24
+#   full 10         42M     1.43, 1.69
+#   shallow-top 10  46M     1.42, 1.74
+#   thin 13         56M     1.39, 1.37
+# The scans under 16M save at most about 30 ms each.  Thin 12 is the
 # largest of the 66 scans of `verify all`, so 16M keeps that command off
 # the pool, and leaves full 10, shallow-top 10, thin 13 and the
 # 212M-cell NC(9) x NC(9) table of `verify lemmas --budget-override 9`
@@ -543,10 +553,16 @@ def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
 
     def run(chunk: tuple[slice, slice]) -> _R:
         rows, cols = chunk
-        # (rows, cols, n): (alpha~ beta)(i); np.take returns it C-contiguous,
-        # so the reshape is a view, and the rectangle is freed before reduce
-        counts = _cycle_counts(np.take(inv[rows], b_imgs[cols], axis=1).reshape(-1, n))
-        return reduce(rows, cols, counts.reshape(rows.stop - rows.start, -1))
+        # point-major (n, cols, rows): (alpha~ beta)(i) = inv[r, b[c, i]];
+        # np.take returns it C-contiguous, so the reshape is a view, and
+        # the block is freed before reduce
+        counts = _cycle_counts(np.take(np.ascontiguousarray(inv[rows].T), b_imgs[cols].T,
+                                       axis=0).reshape(n, -1))
+        # pair c * len(rows) + r is (row r, column c); reduce gets a
+        # C-contiguous (rows, cols) copy, and the per-pair counts are
+        # freed before it runs
+        counts = np.ascontiguousarray(counts.reshape(cols.stop - cols.start, -1).T)
+        return reduce(rows, cols, counts)
 
     # read on every scan, so a bad MEANDER_THREADS warns whatever the size
     _threads()

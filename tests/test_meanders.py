@@ -115,12 +115,16 @@ class TestLoopCount:
             same_n = [r for r in rows if len(r) == n]
             expected = [Permutation(r).cycle_count() for r in same_n]
             for dtype in (np.int8, np.int16):
-                perms = np.array(same_n, dtype=dtype)
-                before = perms.copy()
-                counts = _cycle_counts(perms)
-                assert counts.dtype == np.int64
-                assert counts.tolist() == expected, (n, dtype)
-                assert np.array_equal(perms, before), (n, dtype)
+                # the kernel reads point-major (n, M) blocks: the
+                # transposed rows as a view, as _geodesic_rows passes
+                # them, and as a contiguous block, as _scan_pairs does
+                rows_t = np.array(same_n, dtype=dtype).T
+                for perms in (rows_t, np.ascontiguousarray(rows_t)):
+                    before = perms.copy()
+                    counts = _cycle_counts(perms)
+                    assert counts.dtype == np.int64
+                    assert counts.tolist() == expected, (n, dtype)
+                    assert np.array_equal(perms, before), (n, dtype)
 
     def test_pairwise_kernel_matches_scalar(self):
         rnd = random.Random(3)
@@ -134,6 +138,61 @@ class TestLoopCount:
             for i, a in enumerate(sample):
                 for j, b in enumerate(sample):
                     assert int(table[i, j]) == loop_count(a, b)
+
+    @pytest.mark.parametrize("top", ["interval", "kr-interval"])
+    def test_chunks_keep_rows_and_columns_apart(self, monkeypatch, top):
+        # two different sides, so that loops(a, b) != loops(b, a) in
+        # general and a (rows, cols) mix-up in a chunk's counts shows:
+        # chunks of 5 rows of Int(7) or Kr Int(7) against all 429 columns
+        # of NC(7), the last one shorter
+        from meandrics import meanders as mod
+        tops, bottoms = list(side_partitions(top, 7)), list(enumerate_nc(7))
+        a_imgs, b_imgs = _side(top, 7).imgs, _side("nc", 7).imgs
+        monkeypatch.setattr(mod, "_CHUNK_CELLS", 5 * len(bottoms) * 7)
+        chunks = []
+        scan = mod._scan_pairs
+
+        def recorded_scan(a_imgs, b_imgs, reduce, first):
+            def record(rows, cols, counts):
+                chunks.append(counts.shape)
+                return reduce(rows, cols, counts)
+            return scan(a_imgs, b_imgs, record, first)
+
+        monkeypatch.setattr(mod, "_scan_pairs", recorded_scan)
+        table = pairwise_cycle_counts(a_imgs, b_imgs)
+        assert chunks == [(5, 429)] * 12 + [(4, 429)]
+        want = [[loop_count(a, b) for b in bottoms] for a in tops]
+        assert table.tolist() == want
+
+    @pytest.mark.parametrize("klass, n", [(MeanderClass.SHALLOW_TOP, 7),
+                                          (MeanderClass.THIN, 10)],
+                             ids=lambda v: getattr(v, "value", v))
+    def test_small_chunks_keep_the_histogram(self, monkeypatch, klass, n):
+        # chunks of at most 5 rows: shallow-top reads all of NC(7) from
+        # each, its last one shorter; the thin swap scan reads a suffix of
+        # B from a nonzero first column.  Either way the chunks are
+        # rectangles of several shapes
+        from meandrics import meanders as mod
+        _pair_histogram.cache_clear()
+        try:
+            default = _pair_histogram(klass, n)
+            side = _side(_CLASS_SIDES[klass][1], n)
+            monkeypatch.setattr(mod, "_CHUNK_CELLS", 5 * len(side.imgs) * n)
+            shapes = set()
+            scan = mod._scan_pairs
+
+            def recorded_scan(a_imgs, b_imgs, reduce, first):
+                def record(rows, cols, counts):
+                    shapes.add(counts.shape)
+                    return reduce(rows, cols, counts)
+                return scan(a_imgs, b_imgs, record, first)
+
+            monkeypatch.setattr(mod, "_scan_pairs", recorded_scan)
+            _pair_histogram.cache_clear()
+            assert _pair_histogram(klass, n) == default
+            assert len(shapes) > 1
+        finally:
+            _pair_histogram.cache_clear()
 
 
 class TestLoopCountComb:
@@ -406,21 +465,24 @@ class TestOrbitReduction:
         # chunk composes its whole rectangle, so its rows' own orbits must
         # start near its first column (full 10 takes 69 chunks)
         from meandrics import meanders as mod
+        # the side table counts its own blocks with _cycle_counts
+        side = _side((_KR_SIDES if kr else _CLASS_SIDES)[klass][0], n)
         composed = []
         cycle_counts = mod._cycle_counts
 
         def counted(perms):
-            composed.append(len(perms))
+            # a point-major (n, pairs) block
+            composed.append(perms.shape[1])
             return cycle_counts(perms)
 
         monkeypatch.setattr(mod, "_cycle_counts", counted)
-        side = _side((_KR_SIDES if kr else _CLASS_SIDES)[klass][0], n)
         _, sizes, _ = _orbits(side.imgs, side.imgs, group=not kr)
         _pair_histogram.cache_clear()
         try:
             _pair_histogram(klass, n, kr)
         finally:
             _pair_histogram.cache_clear()
+        assert composed
         assert sum(composed) <= 0.55 * len(sizes) * len(side.imgs)
 
     def test_plain_table_reads_all_of_b(self, monkeypatch):
@@ -434,7 +496,8 @@ class TestOrbitReduction:
         cycle_counts = mod._cycle_counts
 
         def counted(perms):
-            composed.append(len(perms))
+            # a point-major (n, pairs) block
+            composed.append(perms.shape[1])
             return cycle_counts(perms)
 
         monkeypatch.setattr(mod, "_cycle_counts", counted)
@@ -452,6 +515,7 @@ class TestOrbitReduction:
         assert table.shape == (ma, mb)
         assert len(cols_read) > 1
         assert cols_read == [slice(0, mb)] * len(cols_read)
+        assert composed
         assert sum(composed) == ma * mb
 
     def test_full_orbit_counts(self):
