@@ -297,12 +297,17 @@ def _ordered_map(fn: Callable[[_T], _R], items: Sequence[_T]) -> Iterator[_R]:
 def _geodesic_rows(parts: Iterable[NcPartition]) -> tuple[np.ndarray, np.ndarray]:
     """One-line geodesic images, streamed into an int8 table, and block
     counts of a nonempty family of partitions.  The images are each
-    partition's own, so they need no Permutation check."""
+    partition's own, so they need no Permutation check.  The blocks are
+    counted in slices of about _CHUNK_CELLS cells, as the pair scan
+    counts its chunks, so the point-major copy of each slice and its
+    cycle states stay small beside the table."""
     parts = iter(parts)
     first = next(parts)
     flat = chain(first.images, chain.from_iterable(p.images for p in parts))
     imgs = np.fromiter(flat, dtype=np.int8).reshape(-1, first.n)
-    return imgs, _cycle_counts(imgs.T)
+    step = max(1, _CHUNK_CELLS // first.n)
+    return imgs, np.concatenate([_cycle_counts(imgs[start:start + step].T)
+                                 for start in range(0, len(imgs), step)])
 
 
 def side_partitions(kind: str, n: int) -> Iterator[NcPartition]:
@@ -466,7 +471,9 @@ def _cycle_counts(perms: np.ndarray) -> np.ndarray:
             nxt = flat.take(pos)
             keep = nxt != j
             col = col[keep]
-            pos = nxt[keep] * stride
+            # intp by dtype, not by value: NumPy 1.x would keep an int8
+            # image times a small stride in int8, and the index would wrap
+            pos = np.multiply(nxt[keep], stride, dtype=np.intp)
             pos += col
     return counts.astype(np.int64)
 

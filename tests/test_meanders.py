@@ -57,6 +57,23 @@ def plain_histogram(a_imgs, a_stat, b_imgs, b_stat, keep=None):
                             b_stat[keep].tolist())))
 
 
+def record_chunk_shapes(monkeypatch):
+    """Wrap the pair scan so that each chunk's (rows, cols) count shape is
+    appended, in chunk order, to the list returned."""
+    from meandrics import meanders as mod
+    shapes = []
+    scan = mod._scan_pairs
+
+    def recorded_scan(a_imgs, b_imgs, reduce, first):
+        def record(rows, cols, counts):
+            shapes.append(counts.shape)
+            return reduce(rows, cols, counts)
+        return scan(a_imgs, b_imgs, record, first)
+
+    monkeypatch.setattr(mod, "_scan_pairs", recorded_scan)
+    return shapes
+
+
 class TestLoopCount:
     def test_worked_example(self):
         a = NcPartition.from_one_based(5, [[1, 2], [3, 4, 5]])
@@ -149,16 +166,7 @@ class TestLoopCount:
         tops, bottoms = list(side_partitions(top, 7)), list(enumerate_nc(7))
         a_imgs, b_imgs = _side(top, 7).imgs, _side("nc", 7).imgs
         monkeypatch.setattr(mod, "_CHUNK_CELLS", 5 * len(bottoms) * 7)
-        chunks = []
-        scan = mod._scan_pairs
-
-        def recorded_scan(a_imgs, b_imgs, reduce, first):
-            def record(rows, cols, counts):
-                chunks.append(counts.shape)
-                return reduce(rows, cols, counts)
-            return scan(a_imgs, b_imgs, record, first)
-
-        monkeypatch.setattr(mod, "_scan_pairs", recorded_scan)
+        chunks = record_chunk_shapes(monkeypatch)
         table = pairwise_cycle_counts(a_imgs, b_imgs)
         assert chunks == [(5, 429)] * 12 + [(4, 429)]
         want = [[loop_count(a, b) for b in bottoms] for a in tops]
@@ -178,19 +186,10 @@ class TestLoopCount:
             default = _pair_histogram(klass, n)
             side = _side(_CLASS_SIDES[klass][1], n)
             monkeypatch.setattr(mod, "_CHUNK_CELLS", 5 * len(side.imgs) * n)
-            shapes = set()
-            scan = mod._scan_pairs
-
-            def recorded_scan(a_imgs, b_imgs, reduce, first):
-                def record(rows, cols, counts):
-                    shapes.add(counts.shape)
-                    return reduce(rows, cols, counts)
-                return scan(a_imgs, b_imgs, record, first)
-
-            monkeypatch.setattr(mod, "_scan_pairs", recorded_scan)
+            shapes = record_chunk_shapes(monkeypatch)
             _pair_histogram.cache_clear()
             assert _pair_histogram(klass, n) == default
-            assert len(shapes) > 1
+            assert len(set(shapes)) > 1
         finally:
             _pair_histogram.cache_clear()
 
@@ -654,6 +653,14 @@ class TestSideTable:
                 assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 side.imgs[0, 0] = 0
+
+    def test_blocks_are_counted_in_slices(self, monkeypatch):
+        # slices of 100 rows of NC(7)'s 429, the last one shorter
+        from meandrics import meanders as mod
+        monkeypatch.setattr(mod, "_CHUNK_CELLS", 100 * 7)
+        side = _side.__wrapped__("nc", 7)
+        assert side.blocks.dtype == np.int64
+        assert side.blocks.tolist() == [p.block_count() for p in enumerate_nc(7)]
 
     def test_side_is_streamed_from_its_enumerator(self):
         # no list of NcPartition objects: NC(11)'s side peaked at 8.7x the
