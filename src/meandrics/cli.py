@@ -12,13 +12,14 @@ Subcommands:
   of dimensions.
 
 Exit codes: 0 success, 1 verification failure or a broken pipe (stdout
-closed early, as by ``| head``; nothing is printed), 2 usage error,
-3 resource limit exceeded.  Commands raise ``_UsageError`` or
-``meanders.ResourceLimitError``; ``main`` alone maps them to exit codes
-2 and 3 with one ``error:`` line.  Every command checks its arguments
-and all its budgets, then opens ``--out``, then does the work, so an
-unwritable ``--out`` exits 2 before any work and an exit 3 leaves an
-existing ``--out`` file untouched.  For ``verify`` the budgets are a
+closed early, as by ``| head``; nothing is printed), 2 usage error or
+failed output, 3 resource limit exceeded.  ``main`` alone maps
+``_UsageError`` and an ``OSError`` of stdout or ``--out`` to 2 and
+``meanders.ResourceLimitError`` to 3, with one ``error:`` line.  Every
+command checks its arguments and all its budgets, then opens ``--out``,
+then does the work, so an unwritable ``--out`` exits 2 before any work,
+an exit 3 leaves an existing ``--out`` file untouched, and a failed
+write leaves a prefix of the output.  For ``verify`` the budgets are a
 plan checked first: ``verify.run_suite`` checks every cap in
 ``verify.SUITE_CAPS`` for the named suites before the first check runs.
 The fixed caps of every command live in ``meanders``
@@ -88,11 +89,7 @@ def _output(path: str | None) -> Iterator[TextIO]:
     if path is None:
         yield sys.stdout
         return
-    try:
-        out = open(path, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise _UsageError(f"cannot write --out {path!r}: {exc.strerror}") from None
-    with out:
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
         yield out
 
 
@@ -261,15 +258,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"warning: budget override {args.budget_override}", file=sys.stderr)
     try:
         code = args.fn(args)
-        sys.stdout.flush()      # so that a broken pipe raises here
+        sys.stdout.flush()      # so that a failed write of stdout raises here
         return code
     except (_UsageError, meanders.ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, _UsageError) else EXIT_RESOURCE
-    except BrokenPipeError:
-        # quiet at shutdown too; 1 is Python's own exit code on EPIPE
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+    except OSError as exc:      # opening or writing --out, or writing stdout
+        out = getattr(args, "out", None)
+        if out is None:         # so that the flush at shutdown is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 1            # Python's own exit code on EPIPE
+        where = "stdout" if out is None else f"--out {out!r}"
+        print(f"error: cannot write {where}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

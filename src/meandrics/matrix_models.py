@@ -231,7 +231,7 @@ def _on_omega(left: Callable[[np.ndarray], np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# Explicit model matrices (used by tests and small dimensions)
+# Explicit model matrices: thin_exact's Z, and two the tests check against
 # ---------------------------------------------------------------------------
 
 def z_nc_nc(g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -247,13 +247,9 @@ def z_shallow_top(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def z_thin(l: int) -> np.ndarray:
     """[Psi (x) Psi](omega_l) = omega_l + (2 + l) I, exact integers."""
-    z = np.full((l * l, l * l), 0, dtype=object)
-    diag = np.arange(l) * l + np.arange(l)
-    for p in diag:
-        for q in diag:
-            z[p, q] = 1
-    for p in range(l * l):
-        z[p, p] += 2 + l
+    z = np.zeros((l * l, l * l), dtype=object)
+    z[np.ix_(np.arange(l) * (l + 1), np.arange(l) * (l + 1))] = 1
+    z[np.diag_indices(l * l)] += 2 + l
     return z
 
 

@@ -10,24 +10,25 @@ It is the one place that knows what a side is.  ``side_partitions``
 names the four side kinds (NC(n), Int(n), Kr Int(n) as comb partitions,
 and the rainbow), and ``_side`` streams one (kind, n) from its
 enumerator into a table of read-only numpy rows, built once and shared
-by every scan: geodesic one-line images, block counts and the block of
-n (without n) as a bitmask.  Row i is the i-th partition that
-``side_partitions`` (and so the ``enumerate`` command) yields.  The class and cumulant scans read
+by every scan: geodesic one-line images, block counts (read off the
+images, with no cycle walked) and the block of n (without n) as a
+bitmask.  Row i is the i-th partition that ``side_partitions`` (and so
+the ``enumerate`` command) yields.  The class and cumulant scans read
 both their sides from it through ``_CLASS_SIDES`` and ``_KR_SIDES``.
 
 The exhaustive pair scans are vectorized with numpy but remain honest
 brute force: every pair is materialized as a permutation composition
-whose cycles are counted directly.  A chunk of pairs is composed
-point-major, as an (n, pairs) block whose row i holds the image of point
-i in every pair, so each per-point pass of the count reads one
-contiguous row.  A fixed point is a 1-cycle, counted by one comparison
-with the identity, and every longer cycle is walked once, so every cycle
-of every composed pair is still counted.  A scan
-that composes at least ``_POOL_CELLS`` (pair, point) cells spreads its
-chunks over a thread pool capped by the MEANDER_THREADS environment
-variable; a smaller one runs them in order on the calling thread.  Each
-chunk's histogram is added to one integer total as it arrives, so the
-result depends neither on the split nor on that rule.
+whose cycles ``_cycle_counts`` counts directly, in uint8.  A chunk of
+pairs is composed point-major, as an (n, pairs) block whose row i holds
+the image of point i in every pair, so each per-point pass of the count
+reads one contiguous row.  A fixed point is a 1-cycle, counted by one
+comparison with the identity, and every longer cycle is walked once, so
+every cycle of every composed pair is still counted.  A scan that
+composes at least ``_POOL_CELLS`` (pair, point) cells spreads its chunks
+over a thread pool capped by the MEANDER_THREADS environment variable; a
+smaller one runs them in order on the calling thread.  Each chunk's
+histogram is added to one integer total as it arrives, so the result
+depends neither on the split nor on that rule.
 
 A class scan takes one top partition per symmetry orbit.  Reflecting
 both partitions of a pair (alpha -> r alpha~ r for r(i) = n-1-i) leaves
@@ -295,19 +296,19 @@ def _ordered_map(fn: Callable[[_T], _R], items: Sequence[_T]) -> Iterator[_R]:
 
 
 def _geodesic_rows(parts: Iterable[NcPartition]) -> tuple[np.ndarray, np.ndarray]:
-    """One-line geodesic images, streamed into an int8 table, and block
-    counts of a nonempty family of partitions.  The images are each
-    partition's own, so they need no Permutation check.  The blocks are
-    counted in slices of about _CHUNK_CELLS cells, as the pair scan
-    counts its chunks, so the point-major copy of each slice and its
-    cycle states stay small beside the table."""
+    """One-line geodesic images, streamed into an int8 table, and int64
+    block counts of a nonempty family of partitions.  The images are each
+    partition's own, so they need no Permutation check.  A block is an
+    increasing cycle of them, which descends once, from its largest point
+    to its smallest: the blocks are the points i with images[i] <= i."""
     parts = iter(parts)
     first = next(parts)
     flat = chain(first.images, chain.from_iterable(p.images for p in parts))
     imgs = np.fromiter(flat, dtype=np.int8).reshape(-1, first.n)
-    step = max(1, _CHUNK_CELLS // first.n)
-    return imgs, np.concatenate([_cycle_counts(imgs[start:start + step].T)
-                                 for start in range(0, len(imgs), step)])
+    blocks = np.zeros(len(imgs), dtype=np.int64)
+    for i in range(first.n):
+        blocks += imgs[:, i] <= i
+    return imgs, blocks
 
 
 def side_partitions(kind: str, n: int) -> Iterator[NcPartition]:
@@ -443,15 +444,15 @@ def _orbits(a_imgs: np.ndarray, b_imgs: np.ndarray,
 
 
 def _cycle_counts(perms: np.ndarray) -> np.ndarray:
-    """Cycle counts of each permutation of an (n, M) point-major array,
-    as int64: column r holds the one-line images of permutation r, so
-    row i holds point i's images in every permutation.
+    """Cycle counts, in np.min_scalar_type(n), of each permutation of an
+    (n, M) point-major array, for ``_scan_pairs``, its one caller: column
+    r holds permutation r's one-line images, row i point i's in each.
 
     A fixed point is a 1-cycle, found by one comparison with the point
     and counted without a walk.  Every other cycle is walked once, from
     its smallest point, and counted there.  The input is not written."""
     n, m = perms.shape
-    flat = np.ascontiguousarray(perms).ravel()
+    flat = perms.ravel()
     # state[i * m + r] for point i of permutation r: 0 not yet seen, 1 a
     # fixed point, 2 on a cycle already walked
     state = (flat.reshape(n, m) == np.arange(n, dtype=perms.dtype)[:, None]).view(np.uint8)
@@ -475,7 +476,7 @@ def _cycle_counts(perms: np.ndarray) -> np.ndarray:
             # image times a small stride in int8, and the index would wrap
             pos = np.multiply(nxt[keep], stride, dtype=np.intp)
             pos += col
-    return counts.astype(np.int64)
+    return counts
 
 
 # A chunk of the pair scan holds about this many (pair, point) cells, and
@@ -566,8 +567,8 @@ def _scan_pairs(a_imgs: np.ndarray, b_imgs: np.ndarray,
         counts = _cycle_counts(np.take(np.ascontiguousarray(inv[rows].T), b_imgs[cols].T,
                                        axis=0).reshape(n, -1))
         # pair c * len(rows) + r is (row r, column c); reduce gets a
-        # C-contiguous (rows, cols) copy, and the per-pair counts are
-        # freed before it runs
+        # C-contiguous (rows, cols) copy of the narrow counts, and the
+        # per-pair counts are freed before it runs
         counts = np.ascontiguousarray(counts.reshape(cols.stop - cols.start, -1).T)
         return reduce(rows, cols, counts)
 
@@ -586,8 +587,8 @@ def _cells(total: np.ndarray) -> dict[tuple[int, int, int], int]:
 
 def pairwise_cycle_counts(a_imgs: np.ndarray, b_imgs: np.ndarray) -> np.ndarray:
     """(MA, MB) array of #cycles(alpha~ beta) for one-line image rows of
-    length n, stored in np.min_scalar_type(n), the dtype ``_cycle_counts``
-    counts in: uint8 up to n = 255."""
+    length n: ``_scan_pairs`` counts in np.min_scalar_type(n) (uint8 up
+    to n = 255), and each chunk's counts are stored as they come."""
     table = np.empty((len(a_imgs), len(b_imgs)), dtype=np.min_scalar_type(a_imgs.shape[1]))
 
     def fill(rows: slice, cols: slice, counts: np.ndarray) -> None:
@@ -667,7 +668,7 @@ def _pair_histogram(klass: MeanderClass, n: int,
         # before the row's own orbit, or a cumulant pair whose masks
         # meet; 1: counted once; 2: counted with its mirror image
         col = np.arange(cols.start, cols.stop)
-        idx = counts                # the chunk's own table, turned into cells
+        idx = counts.astype(np.int64)     # the cells outgrow the narrow counts
         idx *= base * base
         idx += cell_a[rows, None]
         idx += b_stat[None, cols]

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -352,17 +353,23 @@ class TestUsage:
         assert "override" in err and "budget 1" in err
 
 
+def child_env(**extra):
+    """The environment of a ``python -m meandrics.cli`` child that
+    imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestBrokenPipe:
     @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
     def test_stdout_closed_early_exits_1_quietly(self, unbuffered):
         # the reading end is closed before the child has imported numpy,
         # so its first write (unbuffered) or main's flush (buffered) fails
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         child = subprocess.Popen(
             [sys.executable, "-m", "meandrics.cli", "polynomial", "full", "1..9"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=child_env(PYTHONUNBUFFERED=unbuffered))
         child.stdout.close()
         _, err = child.communicate(timeout=120)
         assert child.returncode == 1
@@ -412,6 +419,89 @@ class TestOut:
         assert code == 3 and out == ""
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert path.read_bytes() == b"written before\n"
+
+
+class _DiskFullAfter(io.FileIO):
+    """A file on a disk that fills up after its first ``limit`` bytes."""
+
+    limit = 0
+
+    def write(self, data):
+        room = self.limit - self.tell()
+        if room <= 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(bytes(data)[:room])
+
+
+class TestFailedWrite:
+    @pytest.mark.parametrize("limit", [0, 5000])
+    def test_out_keeps_the_prefix_written_before_the_failure(self, capsys, monkeypatch,
+                                                             tmp_path, limit):
+        # --out is opened (and truncated) before the work; a write that
+        # fails later exits 2 with one error: line and leaves there the
+        # bytes written before it, a prefix of the output
+        argv = ("enumerate", "kr-interval", "10")
+        whole = run(capsys, *argv)[1].encode()
+
+        def disk_full_open(path, mode, encoding, newline):
+            raw = _DiskFullAfter(path, mode)
+            raw.limit = limit
+            return io.TextIOWrapper(io.BufferedWriter(raw), encoding=encoding,
+                                    newline=newline)
+
+        monkeypatch.setattr(cli, "open", disk_full_open, raising=False)
+        path = tmp_path / "out.jsonl"
+        path.write_bytes(b"an older file\n")
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: cannot write --out {str(path)!r}: {os.strerror(errno.ENOSPC)}"]
+        assert len(whole) > 5000
+        assert path.read_bytes() == whole[:limit]
+
+
+# Every failure the CLI can meet, with its documented exit code.  Each
+# argv runs in its own process; "<missing>" and "<dir>" stand for an
+# --out in a missing directory and a directory, and ">/dev/full" sends
+# stdout to /dev/full.
+_CONTRACT = [
+    # bad ranges, orders and n
+    (2, "polynomial full 0"), (2, "polynomial thin x"), (2, "polynomial thin 5..3"),
+    (2, "series thin 0"), (2, "series semi -2"), (3, "series thin 65"),
+    (2, "enumerate nc 0"), (2, "enumerate nc -1"), (3, "enumerate nc 15"),
+    (3, "polynomial full 11"),
+    # unknown classes, kinds, series, suites and models
+    (2, "polynomial bogus 3"), (2, "enumerate bogus 3"), (2, "series bogus 3"),
+    (2, "verify bogus"), (2, "simulate bogus 1 2"),
+    # zero and negative --budget-override, --samples, --d and --seed
+    (2, "enumerate nc 3 --budget-override 0"), (2, "polynomial thin 3 --budget-override -1"),
+    (2, "verify thin --budget-override 0"), (2, "simulate nc-nc 2 2 --samples 0"),
+    (2, "simulate nc-nc 2 2 --samples -3"), (2, "simulate nc-nc 2 2 --d 0"),
+    (2, "simulate nc-nc 2 2 --d -4"), (2, "simulate nc-nc 2 2 --seed -1"),
+    # over-budget l and d
+    (3, "simulate thin 1 65"), (3, "simulate nc-nc 11 2"),
+    (3, "simulate gue-df 2 2 --d 4096 --samples 2"),
+    # an --out that cannot be opened, and writes that fail
+    (2, "enumerate nc 3 --out <missing>"), (2, "series thin 3 --out <dir>"),
+    (2, "enumerate interval 3 --out /dev/full"), (2, "polynomial thin 3 --out /dev/full"),
+    (2, "verify thin >/dev/full"), (2, "enumerate interval 3 >/dev/full"),
+]
+
+
+@pytest.mark.parametrize("code, argv", _CONTRACT, ids=[argv for _, argv in _CONTRACT])
+def test_cli_contract(tmp_path, code, argv):
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("/dev/full is Linux only")
+    places = {"<missing>": str(tmp_path / "missing" / "x"), "<dir>": str(tmp_path)}
+    args = [places.get(a, a) for a in argv.split() if a != ">/dev/full"]
+    with open("/dev/full" if ">/dev/full" in argv else os.devnull, "w") as stdout:
+        child = subprocess.run([sys.executable, "-m", "meandrics.cli", *args],
+                               stdout=stdout, stderr=subprocess.PIPE, env=child_env(),
+                               timeout=120, text=True)
+    assert child.returncode == code, child.stderr
+    # no traceback, and no second error from the flush at shutdown
+    assert "Traceback" not in child.stderr and "Exception" not in child.stderr
+    assert sum("error:" in line for line in child.stderr.splitlines()) == 1, child.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import ast
 import itertools
+import pathlib
 import random
 import threading
 import tracemalloc
 import weakref
 from collections import Counter
+from math import comb
 
 import numpy as np
 import pytest
@@ -133,13 +136,14 @@ class TestLoopCount:
             expected = [Permutation(r).cycle_count() for r in same_n]
             for dtype in (np.int8, np.int16):
                 # the kernel reads point-major (n, M) blocks: the
-                # transposed rows as a view, as _geodesic_rows passes
-                # them, and as a contiguous block, as _scan_pairs does
+                # transposed rows as a strided view, which it copies, and
+                # as a contiguous block, as _scan_pairs passes them
                 rows_t = np.array(same_n, dtype=dtype).T
                 for perms in (rows_t, np.ascontiguousarray(rows_t)):
                     before = perms.copy()
                     counts = _cycle_counts(perms)
-                    assert counts.dtype == np.int64
+                    # the narrow counts the reducers get: uint8 here
+                    assert counts.dtype == np.min_scalar_type(n)
                     assert counts.tolist() == expected, (n, dtype)
                     assert np.array_equal(perms, before), (n, dtype)
 
@@ -464,7 +468,6 @@ class TestOrbitReduction:
         # chunk composes its whole rectangle, so its rows' own orbits must
         # start near its first column (full 10 takes 69 chunks)
         from meandrics import meanders as mod
-        # the side table counts its own blocks with _cycle_counts
         side = _side((_KR_SIDES if kr else _CLASS_SIDES)[klass][0], n)
         composed = []
         cycle_counts = mod._cycle_counts
@@ -489,7 +492,6 @@ class TestOrbitReduction:
         # reads all of B and the table composes exactly MA x MB pairs,
         # none of them discarded (NC(8) x Int(8) takes several chunks)
         from meandrics import meanders as mod
-        # the side tables count their own blocks with _cycle_counts
         a_imgs, b_imgs = _side("nc", 8).imgs, _side("interval", 8).imgs
         composed, cols_read = [], []
         cycle_counts = mod._cycle_counts
@@ -654,13 +656,38 @@ class TestSideTable:
             with pytest.raises(ValueError):
                 side.imgs[0, 0] = 0
 
-    def test_blocks_are_counted_in_slices(self, monkeypatch):
-        # slices of 100 rows of NC(7)'s 429, the last one shorter
+    @pytest.mark.parametrize("kind", ["nc", "interval", "kr-interval", "rainbow"])
+    def test_blocks_are_counted_without_the_cycle_kernel(self, monkeypatch, kind):
+        # a block's increasing cycle descends once: the blocks are read
+        # off the images, and no side walks a cycle
         from meandrics import meanders as mod
-        monkeypatch.setattr(mod, "_CHUNK_CELLS", 100 * 7)
-        side = _side.__wrapped__("nc", 7)
+
+        def refuse(perms):
+            raise AssertionError("a side table called the pair scan's kernel")
+
+        monkeypatch.setattr(mod, "_cycle_counts", refuse)
+        side = _side.__wrapped__(kind, 7)
         assert side.blocks.dtype == np.int64
-        assert side.blocks.tolist() == [p.block_count() for p in enumerate_nc(7)]
+        assert side.blocks.tolist() == [p.block_count() for p in side_partitions(kind, 7)]
+
+    def test_block_totals_are_narayana_and_composition_sums(self):
+        # sum over NC(n) of #blocks = sum_k k N(n, k) = C(2n - 1, n), and
+        # sum over Int(n), the compositions of n, of #parts = (n + 1) 2^(n-2)
+        for n in range(1, 12):
+            assert int(_side("nc", n).blocks.sum()) == comb(2 * n - 1, n), n
+            assert 4 * int(_side("interval", n).blocks.sum()) == (n + 1) * 2 ** n, n
+
+    def test_cycle_kernel_has_one_caller(self):
+        # _cycle_counts serves the pair scan alone: no other function of
+        # the package names it
+        from meandrics import meanders as mod
+        callers = set()
+        for path in pathlib.Path(mod.__file__).parent.glob("*.py"):
+            for node in ast.parse(path.read_text()).body:
+                if any(isinstance(sub, ast.Name) and sub.id == "_cycle_counts"
+                       for sub in ast.walk(node)):
+                    callers.add((path.name, getattr(node, "name", "<module>")))
+        assert callers == {("meanders.py", "_scan_pairs")}
 
     def test_side_is_streamed_from_its_enumerator(self):
         # no list of NcPartition objects: NC(11)'s side peaked at 8.7x the
